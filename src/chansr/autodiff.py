@@ -89,9 +89,6 @@ class Tensor:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
-
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
@@ -111,12 +108,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, mul_elementwise(_wrap(other, self), _wrap(-1.0, self)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self), mul_elementwise(self, _wrap(-1.0, self)))
-
-    def __neg__(self):
-        return mul_elementwise(self, _wrap(-1.0, self))
 
     def relu(self):
         return relu(self)

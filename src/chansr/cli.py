@@ -6,9 +6,10 @@ report-forgetting. Global flags: --config, --seed, --out, --force,
 2 data error (missing/corrupt files), 3 numerical failure.
 
 Every run directory receives the resolved config echo (config.ini) and a
-provenance file (seed, precision, backend, git describe, argv), enough to
-reproduce its outputs bit-for-bit within one build. Output files carry no
-timestamps; only default directory names do.
+provenance file (seed, precision, git describe, argv). A rerun with the same
+config and seed reproduces the outputs bit-for-bit on the same numpy/BLAS
+build at the same BLAS thread count. Output files carry no timestamps; only
+default directory names do.
 """
 
 import argparse
@@ -20,7 +21,6 @@ import sys
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels
 from .config import RunConfig, load_config
 from .dataset import (DOMAIN_TEST, DOMAIN_TRAIN, DOMAIN_VAL, concat_datasets, generate_dataset,
                       load_dataset, save_dataset)
@@ -165,7 +165,6 @@ def _write_provenance(run_dir: str, cfg: RunConfig, argv) -> None:
     lines = [
         f"seed = {cfg.seed}",
         f"precision = {cfg.precision}",
-        f"backend = {kernels.backend_name()}",
         f"git = {_git_describe()}",
         f"argv = {' '.join(argv)}",
     ]

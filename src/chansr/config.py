@@ -9,7 +9,7 @@ records exactly what it ran with.
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .channel import OfdmConfig, PilotPattern, TdlProfile, doppler_from_speed, load_tdl_profile
 from .training import DEFAULT_EWC_LAMBDA, TrainConfig
@@ -174,7 +174,3 @@ def load_config(path: str | None = None) -> RunConfig:
     if cfg.precision not in ("f32", "f64"):
         raise ValueError(f"{path}: precision must be f32 or f64")
     return cfg
-
-
-def config_field_names():
-    return [f.name for f in fields(RunConfig) if f.name != "explicit"]

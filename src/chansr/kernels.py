@@ -1,145 +1,17 @@
-"""Hot convolution kernels: numba-jitted loops with a vectorized numpy fallback.
+"""Hot convolution kernels: vectorized numpy/BLAS formulations.
 
 All functions operate on contiguous 4-D arrays (batch, channel, height, width)
-in float32 or float64. Two interchangeable backends are provided:
-
-* ``numba``: explicit loops compiled with ``@njit(parallel=True, fastmath=True)``.
-  Every output element is written by exactly one thread, so results are
-  deterministic for any thread count.
-* ``numpy``: vectorized im2col/scatter formulations (BLAS-backed tensordot).
-
-Selection: set ``CHANSR_BACKEND`` to ``numba``, ``numpy`` or ``auto`` (default)
-before import. ``auto`` picks numba when importable. ``benchmarks/bench_kernels.py``
-compares both.
+in float32 or float64. Convolutions are im2col views contracted with
+``tensordot``; transposed convolutions are a ``tensordot`` followed by a
+strided scatter.
 
 Convolution convention: cross-correlation, "same" zero padding, odd kernels,
 stride 1. Transposed convolution: no padding, stride (sH, sW), output size
 (h-1)*sH+kH by (w-1)*sW+kW.
 """
 
-import os
-from types import SimpleNamespace
-
 import numpy as np
 
-try:
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but keep the fallback path
-    HAS_NUMBA = False
-
-_choice = os.environ.get("CHANSR_BACKEND", "auto").lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(f"CHANSR_BACKEND must be 'auto', 'numba' or 'numpy', got {_choice!r}")
-if _choice == "numba" and not HAS_NUMBA:
-    raise ImportError("CHANSR_BACKEND=numba but numba is not importable")
-
-
-# ---------------------------------------------------------------------------
-# loop kernels (numba sources)
-# ---------------------------------------------------------------------------
-
-def _conv2d_fwd_loops(x, w, bias, y):
-    B, Ci, H, W = x.shape
-    Co, kh, kw = w.shape[0], w.shape[2], w.shape[3]
-    ph, pw = kh // 2, kw // 2
-    for bo in prange(B * Co):
-        b = bo // Co
-        o = bo % Co
-        for i in range(H):
-            for j in range(W):
-                acc = bias[o]
-                for c in range(Ci):
-                    for a in range(kh):
-                        ii = i + a - ph
-                        if 0 <= ii < H:
-                            for e in range(kw):
-                                jj = j + e - pw
-                                if 0 <= jj < W:
-                                    acc += x[b, c, ii, jj] * w[o, c, a, e]
-                y[b, o, i, j] = acc
-
-
-def _conv2d_dw_loops(x, dy, dw):
-    B, Ci, H, W = x.shape
-    Co, kh, kw = dw.shape[0], dw.shape[2], dw.shape[3]
-    ph, pw = kh // 2, kw // 2
-    zero = np.zeros(1, x.dtype)[0]
-    for o in prange(Co):
-        for c in range(Ci):
-            for a in range(kh):
-                for e in range(kw):
-                    acc = zero
-                    for b in range(B):
-                        for i in range(H):
-                            ii = i + a - ph
-                            if 0 <= ii < H:
-                                for j in range(W):
-                                    jj = j + e - pw
-                                    if 0 <= jj < W:
-                                        acc += dy[b, o, i, j] * x[b, c, ii, jj]
-                    dw[o, c, a, e] = acc
-
-
-def _deconv2d_fwd_loops(x, w, bias, sH, sW, y):
-    B, Ci, h, wd = x.shape
-    Co, kh, kw = w.shape[1], w.shape[2], w.shape[3]
-    Ho, Wo = y.shape[2], y.shape[3]
-    for bo in prange(B * Co):
-        b = bo // Co
-        o = bo % Co
-        for oi in range(Ho):
-            for oj in range(Wo):
-                acc = bias[o]
-                for a in range(oi % sH, kh, sH):
-                    i = (oi - a) // sH
-                    if 0 <= i < h:
-                        for e in range(oj % sW, kw, sW):
-                            j = (oj - e) // sW
-                            if 0 <= j < wd:
-                                for c in range(Ci):
-                                    acc += x[b, c, i, j] * w[c, o, a, e]
-                y[b, o, oi, oj] = acc
-
-
-def _deconv2d_dx_loops(dy, w, sH, sW, dx):
-    B, Ci, h, wd = dx.shape
-    Co, kh, kw = w.shape[1], w.shape[2], w.shape[3]
-    zero = np.zeros(1, dy.dtype)[0]
-    for bc in prange(B * Ci):
-        b = bc // Ci
-        c = bc % Ci
-        for i in range(h):
-            for j in range(wd):
-                acc = zero
-                for o in range(Co):
-                    for a in range(kh):
-                        for e in range(kw):
-                            acc += dy[b, o, i * sH + a, j * sW + e] * w[c, o, a, e]
-                dx[b, c, i, j] = acc
-
-
-def _deconv2d_dw_loops(x, dy, sH, sW, dw):
-    B, Ci, h, wd = x.shape
-    Co, kh, kw = dw.shape[1], dw.shape[2], dw.shape[3]
-    zero = np.zeros(1, x.dtype)[0]
-    for co in prange(Ci * Co):
-        c = co // Co
-        o = co % Co
-        for a in range(kh):
-            for e in range(kw):
-                acc = zero
-                for b in range(B):
-                    for i in range(h):
-                        for j in range(wd):
-                            acc += x[b, c, i, j] * dy[b, o, i * sH + a, j * sW + e]
-                dw[c, o, a, e] = acc
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy implementations
-# ---------------------------------------------------------------------------
 
 def _pad_same(x, kh, kw):
     ph, pw = kh // 2, kw // 2
@@ -216,10 +88,6 @@ def _np_deconv2d_backward(x, w, dy, stride, need_dx=True):
     return dx, np.ascontiguousarray(dw), db
 
 
-# ---------------------------------------------------------------------------
-# backend assembly
-# ---------------------------------------------------------------------------
-
 def _check_conv_args(x, w, bias):
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError("conv2d expects 4-D input and kernel")
@@ -246,125 +114,25 @@ def _c(a):
     return np.ascontiguousarray(a)
 
 
-def _make_numpy_backend():
-    def conv2d_forward(x, w, bias):
-        _check_conv_args(x, w, bias)
-        return _np_conv2d_forward(_c(x), _c(w), bias)
-
-    def conv2d_backward(x, w, dy, need_dx=True):
-        _check_conv_args(x, w, None)
-        return _np_conv2d_backward(_c(x), _c(w), _c(dy), need_dx)
-
-    def deconv2d_forward(x, w, bias, stride):
-        _check_deconv_args(x, w, stride)
-        return _np_deconv2d_forward(_c(x), _c(w), bias, stride)
-
-    def deconv2d_backward(x, w, dy, stride, need_dx=True):
-        _check_deconv_args(x, w, stride)
-        return _np_deconv2d_backward(_c(x), _c(w), _c(dy), stride, need_dx)
-
-    return SimpleNamespace(
-        name="numpy",
-        conv2d_forward=conv2d_forward,
-        conv2d_backward=conv2d_backward,
-        deconv2d_forward=deconv2d_forward,
-        deconv2d_backward=deconv2d_backward,
-    )
-
-
-numpy_backend = _make_numpy_backend()
-numba_backend = None
-
-if HAS_NUMBA:
-    _jit = njit(parallel=True, fastmath=True, cache=True)
-    _nb_conv2d_fwd = _jit(_conv2d_fwd_loops)
-    _nb_conv2d_dw = _jit(_conv2d_dw_loops)
-    _nb_deconv2d_fwd = _jit(_deconv2d_fwd_loops)
-    _nb_deconv2d_dx = _jit(_deconv2d_dx_loops)
-    _nb_deconv2d_dw = _jit(_deconv2d_dw_loops)
-
-    def _make_numba_backend():
-        def conv2d_forward(x, w, bias):
-            _check_conv_args(x, w, bias)
-            x, w = _c(x), _c(w)
-            b = bias if bias is not None else np.zeros(w.shape[0], x.dtype)
-            y = np.empty((x.shape[0], w.shape[0], x.shape[2], x.shape[3]), x.dtype)
-            _nb_conv2d_fwd(x, w, _c(b), y)
-            return y
-
-        def conv2d_backward(x, w, dy, need_dx=True):
-            _check_conv_args(x, w, None)
-            x, w, dy = _c(x), _c(w), _c(dy)
-            dx = None
-            if need_dx:
-                wt = _c(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-                dx = np.empty_like(x)
-                _nb_conv2d_fwd(dy, wt, np.zeros(x.shape[1], x.dtype), dx)
-            dw = np.empty_like(w)
-            _nb_conv2d_dw(x, dy, dw)
-            return dx, dw, dy.sum(axis=(0, 2, 3))
-
-        def deconv2d_forward(x, w, bias, stride):
-            _check_deconv_args(x, w, stride)
-            x, w = _c(x), _c(w)
-            b = bias if bias is not None else np.zeros(w.shape[1], x.dtype)
-            Ho, Wo = _deconv_out_shape(x.shape[2], x.shape[3], w.shape[2], w.shape[3], *stride)
-            y = np.empty((x.shape[0], w.shape[1], Ho, Wo), x.dtype)
-            _nb_deconv2d_fwd(x, w, _c(b), stride[0], stride[1], y)
-            return y
-
-        def deconv2d_backward(x, w, dy, stride, need_dx=True):
-            _check_deconv_args(x, w, stride)
-            x, w, dy = _c(x), _c(w), _c(dy)
-            dx = None
-            if need_dx:
-                dx = np.empty_like(x)
-                _nb_deconv2d_dx(dy, w, stride[0], stride[1], dx)
-            dw = np.empty_like(w)
-            _nb_deconv2d_dw(x, dy, stride[0], stride[1], dw)
-            return dx, dw, dy.sum(axis=(0, 2, 3))
-
-        return SimpleNamespace(
-            name="numba",
-            conv2d_forward=conv2d_forward,
-            conv2d_backward=conv2d_backward,
-            deconv2d_forward=deconv2d_forward,
-            deconv2d_backward=deconv2d_backward,
-        )
-
-    numba_backend = _make_numba_backend()
-
-active_backend = numba_backend if (HAS_NUMBA and _choice != "numpy") else numpy_backend
-
-
 def backend_name():
-    return active_backend.name
+    return "numpy"
 
 
 def conv2d_forward(x, w, bias):
-    return active_backend.conv2d_forward(x, w, bias)
+    _check_conv_args(x, w, bias)
+    return _np_conv2d_forward(_c(x), _c(w), bias)
 
 
 def conv2d_backward(x, w, dy, need_dx=True):
-    return active_backend.conv2d_backward(x, w, dy, need_dx)
+    _check_conv_args(x, w, None)
+    return _np_conv2d_backward(_c(x), _c(w), _c(dy), need_dx)
 
 
 def deconv2d_forward(x, w, bias, stride):
-    return active_backend.deconv2d_forward(x, w, bias, stride)
+    _check_deconv_args(x, w, stride)
+    return _np_deconv2d_forward(_c(x), _c(w), bias, stride)
 
 
 def deconv2d_backward(x, w, dy, stride, need_dx=True):
-    return active_backend.deconv2d_backward(x, w, dy, stride, need_dx)
-
-
-def warmup(dtypes=(np.float32, np.float64)):
-    """Trigger JIT compilation on tiny inputs so timing-sensitive callers pay it once."""
-    for dt in dtypes:
-        x = np.ones((1, 2, 4, 3), dt)
-        w = np.ones((2, 2, 3, 3), dt)
-        b = np.zeros(2, dt)
-        y = conv2d_forward(x, w, b)
-        conv2d_backward(x, w, y)
-        wt = np.ones((2, 1, 2, 2), dt)
-        yt = deconv2d_forward(x, wt, np.zeros(1, dt), (2, 2))
-        deconv2d_backward(x, wt, yt, (2, 2))
+    _check_deconv_args(x, w, stride)
+    return _np_deconv2d_backward(_c(x), _c(w), _c(dy), stride, need_dx)

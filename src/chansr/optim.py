@@ -46,13 +46,6 @@ class Adam:
             p.zero_grad()
 
 
-def adam_step(params, state: Adam) -> None:
-    """Apply one Adam update to `params` using `state` (must be the same list)."""
-    if list(params) != state.params:
-        raise ValueError("adam_step: params do not match the optimizer state")
-    state.step()
-
-
 def clip_global_norm(params, max_norm: float) -> float:
     """Scale all grads so their joint L2 norm is at most max_norm; returns the pre-clip norm."""
     total = 0.0

@@ -1,22 +1,7 @@
-import os
-
-# Pin the kernel backend before any chansr import. The numpy path rides BLAS
-# and is the faster choice on the single-core CI boxes this suite targets;
-# test_kernels exercises the numba backend explicitly regardless.
-os.environ.setdefault("CHANSR_BACKEND", "numpy")
-
 import numpy as np
 import pytest
 
 from chansr import autodiff as ad
-from chansr import kernels
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _warm_kernels():
-    if kernels.backend_name() == "numba":
-        kernels.warmup()
-    yield
 
 
 @pytest.fixture(autouse=True)

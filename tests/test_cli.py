@@ -109,7 +109,7 @@ def test_train_run_dir_and_reproducibility(ws):
     lines = (ws / "run1" / "loss.csv").read_text().splitlines()
     assert lines[0] == "epoch,loss" and len(lines) == 3
     prov = (ws / "run1" / "provenance.txt").read_text()
-    assert "seed = 3" in prov and "precision = f32" in prov and "backend =" in prov
+    assert "seed = 3" in prov and "precision = f32" in prov
 
 
 def test_train_epoch_override_and_missing_data(ws, capsys):

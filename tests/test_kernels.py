@@ -1,19 +1,12 @@
-"""Convolution kernel backends against brute-force loop oracles."""
+"""Convolution kernels against brute-force loop oracles."""
 
 import numpy as np
 import pytest
 
 from chansr import kernels
+from chansr.model import PARAM_SPECS, UPSAMPLE_STRIDE
 
 from oracles import conv2d_oracle, deconv2d_adjoint_oracle, deconv2d_oracle
-
-BACKENDS = [kernels.numpy_backend]
-if kernels.numba_backend is not None:
-    BACKENDS.append(kernels.numba_backend)
-
-
-def _backend_ids():
-    return [b.name for b in BACKENDS]
 
 
 def _rand_conv_case(rng, dtype=np.float32):
@@ -46,24 +39,22 @@ def _rand_deconv_case(rng, dtype=np.float32):
     return x, w, b, (sH, sW)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=_backend_ids())
-def test_conv2d_forward_matches_loop_oracle(backend):
+def test_conv2d_forward_matches_loop_oracle():
     rng = np.random.default_rng(7)
     for _ in range(30):
         x, w, b = _rand_conv_case(rng)
-        got = backend.conv2d_forward(x, w, b)
+        got = kernels.conv2d_forward(x, w, b)
         want = conv2d_oracle(x, w, b)
         assert np.allclose(got, want, atol=1e-5)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=_backend_ids())
-def test_conv2d_backward_matches_oracle_via_perturbation(backend):
+def test_conv2d_backward_matches_oracle_via_perturbation():
     # dw and dx must be the linear maps induced by the forward oracle
     rng = np.random.default_rng(8)
     for _ in range(10):
         x, w, b = _rand_conv_case(rng, dtype=np.float64)
         dy = rng.standard_normal(x.shape[:1] + (w.shape[0],) + x.shape[2:])
-        dx, dw, db = backend.conv2d_backward(x, w, dy)
+        dx, dw, db = kernels.conv2d_backward(x, w, dy)
         # <dy, conv(x, w)> must have gradient dw in w: check via random direction
         dir_w = rng.standard_normal(w.shape)
         eps = 1e-6
@@ -77,37 +68,34 @@ def test_conv2d_backward_matches_oracle_via_perturbation(backend):
         assert np.allclose(db, dy.sum(axis=(0, 2, 3)))
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=_backend_ids())
-def test_deconv2d_forward_matches_scatter_oracle(backend):
+def test_deconv2d_forward_matches_scatter_oracle():
     rng = np.random.default_rng(9)
     for _ in range(30):
         x, w, b, stride = _rand_deconv_case(rng)
-        got = backend.deconv2d_forward(x, w, b, stride)
+        got = kernels.deconv2d_forward(x, w, b, stride)
         want = deconv2d_oracle(x, w, b, stride)
         assert got.shape == want.shape
         assert np.allclose(got, want, atol=1e-5)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=_backend_ids())
-def test_deconv2d_is_adjoint_of_strided_conv(backend):
+def test_deconv2d_is_adjoint_of_strided_conv():
     # <deconv(x), y> == <x, adjoint(y)> for random tensors
     rng = np.random.default_rng(10)
     for _ in range(20):
         x, w, b, stride = _rand_deconv_case(rng, dtype=np.float64)
-        y = rng.standard_normal(backend.deconv2d_forward(x, w, np.zeros_like(b), stride).shape)
-        lhs = np.sum(backend.deconv2d_forward(x, w, np.zeros_like(b), stride) * y)
+        y = rng.standard_normal(kernels.deconv2d_forward(x, w, np.zeros_like(b), stride).shape)
+        lhs = np.sum(kernels.deconv2d_forward(x, w, np.zeros_like(b), stride) * y)
         rhs = np.sum(x * deconv2d_adjoint_oracle(y, w, stride, x.shape[2], x.shape[3]))
         assert abs(lhs - rhs) < 1e-5 * max(1.0, abs(lhs))
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=_backend_ids())
-def test_deconv2d_backward_matches_oracle(backend):
+def test_deconv2d_backward_matches_oracle():
     rng = np.random.default_rng(11)
     for _ in range(10):
         x, w, b, stride = _rand_deconv_case(rng, dtype=np.float64)
-        y = backend.deconv2d_forward(x, w, b, stride)
+        y = kernels.deconv2d_forward(x, w, b, stride)
         dy = rng.standard_normal(y.shape)
-        dx, dw, db = backend.deconv2d_backward(x, w, dy, stride)
+        dx, dw, db = kernels.deconv2d_backward(x, w, dy, stride)
         assert np.allclose(dx, deconv2d_adjoint_oracle(dy, w, stride, x.shape[2], x.shape[3]), atol=1e-8)
         eps = 1e-6
         dir_w = rng.standard_normal(w.shape)
@@ -117,37 +105,33 @@ def test_deconv2d_backward_matches_oracle(backend):
         assert np.allclose(db, dy.sum(axis=(0, 2, 3)))
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=_backend_ids())
-def test_conv2d_shape_errors(backend):
+def test_conv2d_shape_errors():
     x = np.zeros((1, 2, 4, 4), np.float32)
     with pytest.raises(ValueError):
-        backend.conv2d_forward(x, np.zeros((3, 5, 3, 3), np.float32), np.zeros(3, np.float32))
+        kernels.conv2d_forward(x, np.zeros((3, 5, 3, 3), np.float32), np.zeros(3, np.float32))
     with pytest.raises(ValueError):
-        backend.conv2d_forward(x, np.zeros((3, 2, 2, 2), np.float32), np.zeros(3, np.float32))
+        kernels.conv2d_forward(x, np.zeros((3, 2, 2, 2), np.float32), np.zeros(3, np.float32))
     with pytest.raises(ValueError):
-        backend.deconv2d_forward(np.zeros((1, 2, 0, 3), np.float32),
+        kernels.deconv2d_forward(np.zeros((1, 2, 0, 3), np.float32),
                                  np.zeros((2, 1, 2, 2), np.float32), np.zeros(1, np.float32), (1, 1))
 
 
-def test_backends_agree_on_model_shapes():
-    if kernels.numba_backend is None:
-        pytest.skip("numba unavailable")
+def test_model_layer_shapes_match_oracles():
+    # every layer of the model at batch 1 on the 15 x 6 pilot grid, channels from its weight
     rng = np.random.default_rng(12)
-    x = rng.standard_normal((4, 16, 15, 6)).astype(np.float32)
-    w = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
-    b = rng.standard_normal(16).astype(np.float32)
-    ya = kernels.numba_backend.conv2d_forward(x, w, b)
-    yb = kernels.numpy_backend.conv2d_forward(x, w, b)
-    assert np.allclose(ya, yb, atol=1e-4)
-    xu = rng.standard_normal((4, 32, 15, 6)).astype(np.float32)
-    wu = rng.standard_normal((32, 2, 9, 5)).astype(np.float32)
-    bu = rng.standard_normal(2).astype(np.float32)
-    ua = kernels.numba_backend.deconv2d_forward(xu, wu, bu, (9, 5))
-    ub = kernels.numpy_backend.deconv2d_forward(xu, wu, bu, (9, 5))
-    assert ua.shape == (4, 2, 135, 30)
-    assert np.allclose(ua, ub, atol=1e-4)
-
-
-def test_backend_env_selection():
-    assert kernels.backend_name() in ("numba", "numpy")
-    assert kernels.numpy_backend.name == "numpy"
+    for name, shape in PARAM_SPECS:
+        if not name.endswith("_w"):
+            continue
+        w = rng.standard_normal(shape)
+        if name == "us_deconv_w":
+            x = rng.standard_normal((1, shape[0], 15, 6))
+            b = rng.standard_normal(shape[1])
+            got = kernels.deconv2d_forward(x, w, b, UPSAMPLE_STRIDE)
+            want = deconv2d_oracle(x, w, b, UPSAMPLE_STRIDE)
+        else:
+            x = rng.standard_normal((1, shape[1], 15, 6))
+            b = rng.standard_normal(shape[0])
+            got = kernels.conv2d_forward(x, w, b)
+            want = conv2d_oracle(x, w, b)
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) < 1e-5, name

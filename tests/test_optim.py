@@ -5,7 +5,7 @@ import pytest
 
 from chansr import autodiff as ad
 from chansr.autodiff import Tensor
-from chansr.optim import Adam, adam_step, clip_global_norm
+from chansr.optim import Adam, clip_global_norm
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
@@ -68,16 +68,6 @@ def test_step_clears_grads():
     assert p.grad is None
     with pytest.raises(ValueError):
         opt.step()
-
-
-def test_adam_step_wrapper_checks_identity():
-    p = Tensor(np.ones(2), requires_grad=True)
-    opt = Adam([p])
-    q = Tensor(np.ones(2), requires_grad=True)
-    with pytest.raises(ValueError):
-        adam_step([q], opt)
-    p.grad = np.zeros(2, np.float32)
-    adam_step([p], opt)
 
 
 def test_clip_global_norm():
