@@ -213,13 +213,24 @@ _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 @dataclass
 class PilotObservation:
-    """Pilot symbols, received pilots, and the LS estimate slot."""
+    """Pilot symbols, received pilots, unit noise, and the LS estimate slot."""
 
     s_p: np.ndarray  # transmitted unit-modulus pilot symbols
     y_p: np.ndarray  # received pilots
+    g: np.ndarray  # unit-variance complex noise draw, scaled by sqrt(sigma2) in y_p
     sigma2: float
     snr_db: float
     h_ls: np.ndarray | None = field(default=None)  # filled by ls_estimate
+
+
+def _observe(h_p: np.ndarray, s_p: np.ndarray, g: np.ndarray, snr_db: float) -> PilotObservation:
+    """Received pilots y_p = s_p * h_p + sigma * g at the given SNR (sigma2 = 0 at +inf).
+
+    Elementwise, so it takes one sample's pilot grid or a batch of them.
+    """
+    sigma2 = 0.0 if np.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
+    y_p = s_p * h_p + np.sqrt(sigma2) * g
+    return PilotObservation(s_p=s_p, y_p=y_p, g=g, sigma2=sigma2, snr_db=float(snr_db))
 
 
 def make_pilot_observation(h: np.ndarray, pattern: PilotPattern, snr_db: float,
@@ -228,15 +239,14 @@ def make_pilot_observation(h: np.ndarray, pattern: PilotPattern, snr_db: float,
 
     sigma^2 = 10^(-snr_db/10) against unit channel power and unit-modulus
     pilots; snr_db = +inf disables the noise (still consuming the same rng
-    draws, so noise realizations stay paired across SNR points).
+    draws, so noise realizations stay paired across SNR points). The unit
+    noise draw is kept as ``g`` so the same sample can be formed at other SNRs.
     """
     h_p = h[np.ix_(pattern.p_f, pattern.p_t)]
     shape = h_p.shape
     s_p = _QPSK[rng.integers(0, 4, size=shape)]
     g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    sigma2 = 0.0 if np.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
-    y_p = s_p * h_p + np.sqrt(sigma2) * g
-    return PilotObservation(s_p=s_p, y_p=y_p, sigma2=sigma2, snr_db=float(snr_db))
+    return _observe(h_p, s_p, g, snr_db)
 
 
 def ls_estimate(obs: PilotObservation) -> np.ndarray:

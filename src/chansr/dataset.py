@@ -7,9 +7,16 @@ symbols, and a unit-variance noise grid in a fixed order; the SNR only scales
 that noise, so datasets at different SNRs share channel and noise shapes
 sample for sample (paired comparisons across an SNR sweep).
 
+``draw`` runs those streams once and keeps each sample's true grid, pilot
+channel, pilot symbols and unit noise (``Draws``); ``Draws.at_snr`` then forms
+the LS estimates at any SNR from the stored draws without reopening a stream.
+``generate_dataset`` is ``draw(...).at_snr(snr_db)``, so a dataset made either
+way has the same bits.
+
 CHDS file layout (little-endian): magic "CHDS", version u32, then u32 counts
 N_samples, N_f, N_t, N_f_p, N_t_p, then per sample the LS pilot estimate and
-the true grid, each as interleaved real/imag float32 row-major.
+the true grid, each as interleaved real/imag float32 row-major. Loading
+rejects a payload holding a NaN or infinity.
 """
 
 import struct
@@ -18,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OfdmConfig, PilotPattern, TdlProfile, generate_channel, ls_estimate, make_pilot_observation
+from .channel import (OfdmConfig, PilotPattern, TdlProfile, _observe, generate_channel, ls_estimate,
+                      make_pilot_observation)
 from .fio import atomic_write_bytes
 
 CHDS_MAGIC = b"CHDS"
@@ -65,21 +73,45 @@ def sample_rng(seed: int, profile_name: str, domain: int, index: int) -> np.rand
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag, domain, index)))
 
 
-def generate_dataset(profile: TdlProfile, cfg: OfdmConfig, pattern: PilotPattern,
-                     snr_db: float, n: int, seed: int, domain: int) -> ChannelDataset:
-    """Generate n (LS pilot estimate, true grid) pairs at one SNR."""
+@dataclass
+class Draws:
+    """The random part of n samples, stored once so any SNR can be formed from it."""
+
+    h_true: np.ndarray  # [N, N_f, N_t] complex64
+    h_p: np.ndarray  # [N, N_f_p, N_t_p] complex128, true channel at the pilots
+    s_p: np.ndarray  # [N, N_f_p, N_t_p] complex128, pilot symbols
+    g: np.ndarray  # [N, N_f_p, N_t_p] complex128, unit-variance noise
+
+    def at_snr(self, snr_db: float) -> ChannelDataset:
+        """The dataset at one SNR; h_true is shared with this object, not copied."""
+        h_ls = ls_estimate(_observe(self.h_p, self.s_p, self.g, snr_db))
+        return ChannelDataset(h_ls=h_ls, h_true=self.h_true)
+
+
+def draw(profile: TdlProfile, cfg: OfdmConfig, pattern: PilotPattern,
+         n: int, seed: int, domain: int) -> Draws:
+    """Run the random streams of samples 0..n-1 once and keep their draws."""
     if n < 1:
         raise ValueError("dataset size must be >= 1")
     pattern.validate_for(cfg)
-    h_ls = np.empty((n, pattern.n_fp, pattern.n_tp), dtype=np.complex64)
+    shape = (n, pattern.n_fp, pattern.n_tp)
     h_true = np.empty((n, cfg.n_f, cfg.n_t), dtype=np.complex64)
+    h_p, s_p, g = (np.empty(shape, dtype=np.complex128) for _ in range(3))
     for i in range(n):
         rng = sample_rng(seed, profile.name, domain, i)
         h = generate_channel(profile, cfg, rng)
-        obs = make_pilot_observation(h, pattern, snr_db, rng)
-        h_ls[i] = ls_estimate(obs)
+        # the SNR only scales the stored noise, so any value gives the same draws
+        obs = make_pilot_observation(h, pattern, np.inf, rng)
         h_true[i] = h
-    return ChannelDataset(h_ls=h_ls, h_true=h_true)
+        h_p[i] = h[np.ix_(pattern.p_f, pattern.p_t)]
+        s_p[i], g[i] = obs.s_p, obs.g
+    return Draws(h_true=h_true, h_p=h_p, s_p=s_p, g=g)
+
+
+def generate_dataset(profile: TdlProfile, cfg: OfdmConfig, pattern: PilotPattern,
+                     snr_db: float, n: int, seed: int, domain: int) -> ChannelDataset:
+    """Generate n (LS pilot estimate, true grid) pairs at one SNR."""
+    return draw(profile, cfg, pattern, n, seed, domain).at_snr(snr_db)
 
 
 def planes_from_complex(x: np.ndarray, dtype=np.float32) -> np.ndarray:
@@ -92,19 +124,18 @@ def complex_from_planes(p: np.ndarray) -> np.ndarray:
     return p[..., 0, :, :] + 1j * p[..., 1, :, :]
 
 
-def _planes_bytes(x: np.ndarray) -> bytes:
-    # complex64 layout is already interleaved re/im float32 row-major
-    return np.ascontiguousarray(x, dtype=np.complex64).tobytes()
-
-
 def save_dataset(ds: ChannelDataset, path: str) -> None:
     n, n_fp, n_tp = ds.h_ls.shape
     _, n_f, n_t = ds.h_true.shape
-    parts = [CHDS_MAGIC, struct.pack("<6I", CHDS_VERSION, n, n_f, n_t, n_fp, n_tp)]
-    for i in range(n):
-        parts.append(_planes_bytes(ds.h_ls[i]))
-        parts.append(_planes_bytes(ds.h_true[i]))
-    atomic_write_bytes(path, b"".join(parts))
+    header = CHDS_MAGIC + struct.pack("<6I", CHDS_VERSION, n, n_f, n_t, n_fp, n_tp)
+    buf = bytearray(len(header) + ds.h_ls.nbytes + ds.h_true.nbytes)
+    buf[:len(header)] = header
+    # filled in place, one row per sample: LS grid then true grid (complex64 = interleaved re/im float32)
+    k = n_fp * n_tp
+    payload = np.frombuffer(buf, dtype=np.complex64, offset=len(header)).reshape(n, k + n_f * n_t)
+    payload[:, :k] = ds.h_ls.reshape(n, k)
+    payload[:, k:] = ds.h_true.reshape(n, n_f * n_t)
+    atomic_write_bytes(path, buf)
 
 
 def load_dataset(path: str) -> ChannelDataset:
@@ -119,12 +150,10 @@ def load_dataset(path: str) -> ChannelDataset:
     expected = 4 + 24 + n * per_sample
     if len(raw) != expected:
         raise ValueError(f"{path}: truncated or oversized payload ({len(raw)} vs {expected} bytes)")
-    h_ls = np.empty((n, n_fp, n_tp), dtype=np.complex64)
-    h_true = np.empty((n, n_f, n_t), dtype=np.complex64)
-    off = 28
-    for i in range(n):
-        h_ls[i] = np.frombuffer(raw, dtype=np.complex64, count=n_fp * n_tp, offset=off).reshape(n_fp, n_tp)
-        off += n_fp * n_tp * 8
-        h_true[i] = np.frombuffer(raw, dtype=np.complex64, count=n_f * n_t, offset=off).reshape(n_f, n_t)
-        off += n_f * n_t * 8
-    return ChannelDataset(h_ls=h_ls, h_true=h_true)
+    k, per = n_fp * n_tp, n_fp * n_tp + n_f * n_t
+    payload = np.frombuffer(raw, dtype=np.complex64, count=n * per, offset=28).reshape(n, per)
+    if not np.isfinite(payload.view(np.float32)).all():  # each re/im part; faster than complex isfinite
+        raise ValueError(f"{path}: payload holds non-finite values")
+    # copies: the slices are views of the read-only file buffer
+    return ChannelDataset(h_ls=payload[:, :k].reshape(n, n_fp, n_tp).copy(),
+                          h_true=payload[:, k:].reshape(n, n_f, n_t).copy())

@@ -4,6 +4,12 @@ NMSE is the trial mean of per-sample ||H - H_hat||_F^2 / ||H||_F^2, reported
 both linear and in dB. Sweeps draw their test sets from a reserved seed
 domain, so evaluation at any SNR never reuses training samples.
 
+Each test sample is drawn once per call (``dataset.draw``); every SNR point
+rescales that sample's stored unit noise (``Draws.at_snr``), which gives the
+same bits as generating the set afresh at that SNR. The forgetting report
+draws each profile once for the whole report, runs each estimator once per
+profile and SNR, and scores the mixed set from the task1 and task2 estimates.
+
 CSV schema (one row per scheme/profile/SNR):
 ``scheme,profile,snr_db,nmse_linear,nmse_db,mc,seed``. The forgetting report
 reuses the schema with the profile column holding the eval-set label and adds
@@ -20,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .channel import OfdmConfig, PilotPattern, interpolate_bilinear
-from .dataset import DOMAIN_TEST, complex_from_planes, generate_dataset, planes_from_complex
+from .dataset import DOMAIN_TEST, complex_from_planes, draw, planes_from_complex
 from .fio import atomic_write_text
 from .model import ModelParams, forward
 
@@ -95,15 +101,12 @@ def sweep(estimator, scheme: str, profiles, snr_list, m_c: int, seed: int,
     profiles = list(profiles)
     if m_c < 1 or m_c % len(profiles) != 0:
         raise ValueError(f"M_c = {m_c} must be a positive multiple of the profile count {len(profiles)}")
-    per = m_c // len(profiles)
+    draws = [draw(prof, cfg, pattern, m_c // len(profiles), seed, DOMAIN_TEST) for prof in profiles]
     lin = []
     for snr in snr_list:
-        truth, est = [], []
-        for prof in profiles:
-            ds = generate_dataset(prof, cfg, pattern, snr, per, seed, DOMAIN_TEST)
-            truth.append(ds.h_true)
-            est.append(estimator(ds.h_ls))
-        lin.append(nmse(np.concatenate(truth), np.concatenate(est)))
+        sets = [d.at_snr(snr) for d in draws]
+        lin.append(nmse(np.concatenate([ds.h_true for ds in sets]),
+                        np.concatenate([estimator(ds.h_ls) for ds in sets])))
     return EvalReport(
         scheme=scheme,
         profile="+".join(p.name for p in profiles),
@@ -128,21 +131,26 @@ def forgetting_report(schemes: dict, profile_1, profile_2, snr_list, m_c: int,
     missing = [k for k in required if k not in schemes]
     if missing:
         raise ValueError(f"missing scheme checkpoints: {missing}")
-    eval_sets = {
-        "task1": [profile_1],
-        "task2": [profile_2],
-        "mixed": [profile_1, profile_2],
-    }
+    if m_c < 1:
+        raise ValueError(f"M_c = {m_c} must be positive")
+    eval_sets = {"task1": (0,), "task2": (1,), "mixed": (0, 1)}  # indices into the two profiles
+    draws = [draw(prof, cfg, pattern, m_c, seed, DOMAIN_TEST) for prof in (profile_1, profile_2)]
+    sets_at = {snr: [d.at_snr(snr) for d in draws] for snr in snr_list}
     rows = []
     task1_db = {}
     for label in required:
-        for set_name, profs in eval_sets.items():
-            mc_set = m_c * len(profs)
-            rep = sweep(schemes[label], label, profs, snr_list, mc_set, seed, cfg, pattern)
-            for row in rep.rows():
-                row[1] = set_name
-                rows.append(row)
-            if set_name == "task1":
+        lin = {name: [] for name in eval_sets}
+        for snr in snr_list:
+            sets = sets_at[snr]
+            est = [schemes[label](ds.h_ls) for ds in sets]
+            for name, idx in eval_sets.items():
+                lin[name].append(nmse(np.concatenate([sets[i].h_true for i in idx]),
+                                      np.concatenate([est[i] for i in idx])))
+        for name, idx in eval_sets.items():
+            rep = EvalReport(scheme=label, profile=name, snr_db=list(snr_list), nmse_linear=lin[name],
+                             nmse_db=[to_db(v) for v in lin[name]], mc=m_c * len(idx), seed=seed)
+            rows.extend(rep.rows())
+            if name == "task1":
                 task1_db[label] = rep.nmse_db
     for i, snr in enumerate(snr_list):
         delta_db = task1_db["naive_seq"][i] - task1_db["cl"][i]

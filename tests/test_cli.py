@@ -122,6 +122,17 @@ def test_train_epoch_override_and_missing_data(ws, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_train_on_non_finite_dataset_is_data_error(ws, capsys):
+    path = _gen(ws, "a.chds")
+    raw = bytearray(path.read_bytes())
+    raw[28:32] = np.float32(np.nan).tobytes()  # first payload float
+    path.write_bytes(bytes(raw))
+    assert _run("train", "--config", "cfg.ini", "--data", "a.chds", "--out", "r") == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "non-finite" in err
+    assert not (ws / "r").exists()
+
+
 def test_full_continual_learning_pipeline(ws):
     _gen(ws, "a.chds", profile="tdl-a", seed="0")
     _gen(ws, "d.chds", profile="tdl-d", seed="0")

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from chansr.channel import OfdmConfig, PilotPattern, load_tdl_profile
+from chansr.channel import (OfdmConfig, PilotPattern, generate_channel, load_tdl_profile, ls_estimate,
+                            make_pilot_observation)
 from chansr.dataset import (DOMAIN_TEST, DOMAIN_TRAIN, DOMAIN_VAL, ChannelDataset,
-                            complex_from_planes, concat_datasets, generate_dataset,
+                            complex_from_planes, concat_datasets, draw, generate_dataset,
                             load_dataset, planes_from_complex, sample_rng, save_dataset)
 
 
@@ -57,6 +58,26 @@ def test_common_random_numbers_across_snr():
     assert np.allclose(w_lo, 10.0 * w_hi, rtol=1e-4)
 
 
+def test_generate_dataset_matches_per_sample_reference_loop():
+    cfg = OfdmConfig(n_f=32, n_t=12)
+    pat = PilotPattern.from_intervals(cfg, 9, 5)
+    prof = load_tdl_profile("tdl-d")
+    draws = draw(prof, cfg, pat, 5, seed=4, domain=DOMAIN_TEST)
+    for snr in (0.0, 7.5, np.inf):
+        ds = generate_dataset(prof, cfg, pat, snr, 5, seed=4, domain=DOMAIN_TEST)
+        h_ls, h_true = [], []
+        for i in range(5):
+            rng = sample_rng(4, prof.name, DOMAIN_TEST, i)
+            h = generate_channel(prof, cfg, rng)
+            h_ls.append(ls_estimate(make_pilot_observation(h, pat, snr, rng)))
+            h_true.append(h)
+        assert np.array_equal(ds.h_ls, np.array(h_ls, np.complex64))
+        assert np.array_equal(ds.h_true, np.array(h_true, np.complex64))
+        # one draw formed at each SNR gives the same bits as generating afresh
+        again = draws.at_snr(snr)
+        assert np.array_equal(again.h_ls, ds.h_ls) and np.array_equal(again.h_true, ds.h_true)
+
+
 def test_sample_rng_distinct_across_indices():
     r0 = sample_rng(1, "tdl-a", DOMAIN_TRAIN, 0).standard_normal(8)
     r1 = sample_rng(1, "tdl-a", DOMAIN_TRAIN, 1).standard_normal(8)
@@ -101,6 +122,19 @@ def test_chds_header_and_corruption_errors(tmp_path):
     short.write_bytes(bytes(raw[:10]))
     with pytest.raises(ValueError):
         load_dataset(short)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_chds_rejects_non_finite_payload(tmp_path, bad):
+    ds = _small(n=3)
+    p = tmp_path / "a.chds"
+    save_dataset(ds, p)
+    raw = bytearray(p.read_bytes())
+    off = 28 + 8 * (ds.h_ls[0].size + 5) + 4  # imaginary part of one true-grid entry of sample 0
+    raw[off:off + 4] = np.float32(bad).tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="non-finite"):
+        load_dataset(p)
 
 
 def test_dataset_validation_and_subset():

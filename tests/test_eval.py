@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import chansr.dataset
 from chansr.channel import OfdmConfig, PilotPattern, load_tdl_profile
+from chansr.dataset import DOMAIN_TEST, generate_dataset
 from chansr.evaluate import (EvalReport, forgetting_report, ls_bilinear_estimator,
                              model_estimator, nmse, sweep, to_db, write_report_csv)
 from chansr.model import init_params
@@ -116,6 +118,68 @@ def test_forgetting_report_rows_and_delta():
     assert mixed_mc == {8}
     with pytest.raises(ValueError):
         forgetting_report({"cl": est}, p1, p2, [0.0], 2, 0, _CFG, _PAT)
+
+
+def _four_schemes():
+    ls = ls_bilinear_estimator(_PAT, _CFG)
+    return {"post_task1": model_estimator(init_params(np.random.default_rng(1)), _CFG), "naive_seq": ls,
+            "cl": model_estimator(init_params(np.random.default_rng(2)), _CFG), "multitask": ls}
+
+
+def _regenerated_report(schemes, p1, p2, snrs, m_c, seed):
+    """Forgetting rows with every set generated afresh per scheme, eval set and SNR."""
+    rows, task1_db = [], {}
+    for label in ("post_task1", "naive_seq", "cl", "multitask"):
+        for name, profs in (("task1", [p1]), ("task2", [p2]), ("mixed", [p1, p2])):
+            dbs = []
+            for snr in snrs:
+                sets = [generate_dataset(p, _CFG, _PAT, snr, m_c, seed, DOMAIN_TEST) for p in profs]
+                lin = nmse(np.concatenate([ds.h_true for ds in sets]),
+                           np.concatenate([schemes[label](ds.h_ls) for ds in sets]))
+                dbs.append(to_db(lin))
+                rows.append([label, name, snr, lin, dbs[-1], m_c * len(profs), seed])
+            if name == "task1":
+                task1_db[label] = dbs
+    for i, snr in enumerate(snrs):
+        d = task1_db["naive_seq"][i] - task1_db["cl"][i]
+        rows.append(["delta_naive_minus_cl", "task1", snr, 10.0 ** (d / 10.0), d, m_c, seed])
+    return rows
+
+
+def test_forgetting_report_equals_regenerated_sets():
+    schemes = _four_schemes()
+    p1, p2 = load_tdl_profile("tdl-a"), load_tdl_profile("tdl-d")
+    snrs = [0.0, 7.5, np.inf]
+    assert forgetting_report(schemes, p1, p2, snrs, 5, 3, _CFG, _PAT) == \
+        _regenerated_report(schemes, p1, p2, snrs, 5, 3)
+
+
+def test_evaluation_draws_each_sample_once(monkeypatch):
+    opened = []
+    real_rng = chansr.dataset.sample_rng
+
+    def counting_rng(*key):
+        opened.append(key)
+        return real_rng(*key)
+
+    monkeypatch.setattr(chansr.dataset, "sample_rng", counting_rng)
+    calls = {}
+
+    def counting(label, est):
+        def wrapped(h_ls):
+            calls[label] = calls.get(label, 0) + 1
+            return est(h_ls)
+        return wrapped
+
+    schemes = {k: counting(k, est) for k, est in _four_schemes().items()}
+    p1, p2 = load_tdl_profile("tdl-a"), load_tdl_profile("tdl-d")
+    snrs = [0.0, 10.0, 20.0]
+    forgetting_report(schemes, p1, p2, snrs, 4, 3, _CFG, _PAT)
+    assert calls == {k: 2 * len(snrs) for k in schemes}
+    assert len(opened) == 2 * 4 and len(set(opened)) == 2 * 4
+    opened.clear()
+    sweep(ls_bilinear_estimator(_PAT, _CFG), "ls", [p1], snrs, 6, 7, _CFG, _PAT)
+    assert len(opened) == 6
 
 
 def test_report_csv_bytes_stable(tmp_path):
