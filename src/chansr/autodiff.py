@@ -92,9 +92,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
-    def backward(self) -> None:
-        backward(self)
-
     # operator sugar; named module functions below carry the semantics
     def __add__(self, other):
         return add(self, _wrap(other, self))
@@ -108,18 +105,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, mul_elementwise(_wrap(other, self), _wrap(-1.0, self)))
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def sum(self):
-        return tensor_sum(self)
-
-    def mean(self):
-        return tensor_mean(self)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -170,6 +155,10 @@ def _unbroadcast(g, shape):
 
 # ---------------------------------------------------------------------------
 # elementwise ops
+#
+# Each op hands _make a backward closure that takes the output gradient as its
+# argument. The closures reference their inputs but never their output, so the
+# graph holds no reference cycle and is freed as soon as the loss is dropped.
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -178,16 +167,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError as e:
         raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}") from e
-    out = _make(data, (a, b), None)
 
-    def _bw():
+    def _bw(gout):
         if a.requires_grad:
-            _acc(a, _unbroadcast(out.grad, a.shape))
+            _acc(a, _unbroadcast(gout, a.shape))
         if b.requires_grad:
-            _acc(b, _unbroadcast(out.grad, b.shape))
+            _acc(b, _unbroadcast(gout, b.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(data, (a, b), _bw)
 
 
 def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
@@ -196,28 +183,24 @@ def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError as e:
         raise ValueError(f"mul: incompatible shapes {a.shape} and {b.shape}") from e
-    out = _make(data, (a, b), None)
 
-    def _bw():
+    def _bw(gout):
         if a.requires_grad:
-            _acc(a, _unbroadcast(out.grad * b.data, a.shape))
+            _acc(a, _unbroadcast(gout * b.data, a.shape))
         if b.requires_grad:
-            _acc(b, _unbroadcast(out.grad * a.data, b.shape))
+            _acc(b, _unbroadcast(gout * a.data, b.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(data, (a, b), _bw)
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0  # strict: derivative at 0 is 0
-    out = _make(np.where(mask, x.data, x.data.dtype.type(0)), (x,), None)
 
-    def _bw():
+    def _bw(gout):
         if x.requires_grad:
-            _acc(x, out.grad * mask)
+            _acc(x, gout * mask)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(np.where(mask, x.data, x.data.dtype.type(0)), (x,), _bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -227,37 +210,30 @@ def sigmoid(x: Tensor) -> Tensor:
     s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     e = np.exp(d[~pos])
     s[~pos] = e / (1.0 + e)
-    out = _make(s, (x,), None)
 
-    def _bw():
+    def _bw(gout):
         if x.requires_grad:
-            _acc(x, out.grad * s * (1.0 - s))
+            _acc(x, gout * s * (1.0 - s))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(s, (x,), _bw)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
-    out = _make(x.data.sum(dtype=x.data.dtype).reshape(()), (x,), None)
-
-    def _bw():
+    def _bw(gout):
         if x.requires_grad:
-            _acc(x, np.broadcast_to(out.grad, x.shape))
+            _acc(x, np.broadcast_to(gout, x.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(x.data.sum(dtype=x.data.dtype).reshape(()), (x,), _bw)
 
 
 def tensor_mean(x: Tensor) -> Tensor:
     n = x.data.dtype.type(x.data.size)
-    out = _make((x.data.sum(dtype=x.data.dtype) / n).reshape(()), (x,), None)
 
-    def _bw():
+    def _bw(gout):
         if x.requires_grad:
-            _acc(x, np.broadcast_to(out.grad / n, x.shape))
+            _acc(x, np.broadcast_to(gout / n, x.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make((x.data.sum(dtype=x.data.dtype) / n).reshape(()), (x,), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +253,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     _check_same_dtype(x, w, bias)
     xd, squeezed = _lift4d(x.data)
     y = kernels.conv2d_forward(xd, w.data, bias.data)
-    out = _make(y[0] if squeezed else y, (x, w, bias), None)
 
-    def _bw():
-        dy = out.grad[None] if squeezed else out.grad
+    def _bw(gout):
+        dy = gout[None] if squeezed else gout
         dx, dw, db = kernels.conv2d_backward(xd, w.data, np.ascontiguousarray(dy), need_dx=x.requires_grad)
         if x.requires_grad:
             _acc(x, dx[0] if squeezed else dx)
@@ -289,8 +264,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             _acc(bias, db)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(y[0] if squeezed else y, (x, w, bias), _bw)
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
@@ -299,10 +273,9 @@ def conv2d_transpose(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
     stride = (int(stride[0]), int(stride[1]))
     xd, squeezed = _lift4d(x.data)
     y = kernels.deconv2d_forward(xd, w.data, bias.data, stride)
-    out = _make(y[0] if squeezed else y, (x, w, bias), None)
 
-    def _bw():
-        dy = out.grad[None] if squeezed else out.grad
+    def _bw(gout):
+        dy = gout[None] if squeezed else gout
         dx, dw, db = kernels.deconv2d_backward(xd, w.data, np.ascontiguousarray(dy), stride, need_dx=x.requires_grad)
         if x.requires_grad:
             _acc(x, dx[0] if squeezed else dx)
@@ -311,24 +284,21 @@ def conv2d_transpose(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
         if bias.requires_grad:
             _acc(bias, db)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(y[0] if squeezed else y, (x, w, bias), _bw)
 
 
 def crop2d(x: Tensor, height: int, width: int) -> Tensor:
     """Top-left crop of the two trailing spatial axes."""
     if x.data.shape[-2] < height or x.data.shape[-1] < width:
         raise ValueError(f"crop target ({height},{width}) exceeds input {x.shape}")
-    out = _make(np.ascontiguousarray(x.data[..., :height, :width]), (x,), None)
 
-    def _bw():
+    def _bw(gout):
         if x.requires_grad:
             g = np.zeros_like(x.data)
-            g[..., :height, :width] = out.grad
+            g[..., :height, :width] = gout
             _acc(x, g)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(np.ascontiguousarray(x.data[..., :height, :width]), (x,), _bw)
 
 
 def pool_spatial(x: Tensor, kind: str) -> Tensor:
@@ -339,30 +309,27 @@ def pool_spatial(x: Tensor, kind: str) -> Tensor:
     squeezed = x.data.ndim == 3
     if kind == "avg":
         data = flat.mean(axis=2)
-        out = _make(data[0] if squeezed else data, (x,), None)
 
-        def _bw():
+        def _bw(gout):
             if x.requires_grad:
-                g = out.grad.reshape(B, C)[:, :, None, None] / x.data.dtype.type(H * W)
+                g = gout.reshape(B, C)[:, :, None, None] / x.data.dtype.type(H * W)
                 g = np.broadcast_to(g, xd.shape)
                 _acc(x, g[0] if squeezed else g)
 
     elif kind == "max":
         idx = flat.argmax(axis=2)  # first maximum in row-major order
         data = np.take_along_axis(flat, idx[:, :, None], axis=2)[:, :, 0]
-        out = _make(data[0] if squeezed else data, (x,), None)
 
-        def _bw():
+        def _bw(gout):
             if x.requires_grad:
                 g = np.zeros((B, C, H * W), dtype=x.data.dtype)
-                np.put_along_axis(g, idx[:, :, None], out.grad.reshape(B, C, 1), axis=2)
+                np.put_along_axis(g, idx[:, :, None], gout.reshape(B, C, 1), axis=2)
                 g = g.reshape(xd.shape)
                 _acc(x, g[0] if squeezed else g)
 
     else:
         raise ValueError(f"pool kind must be 'max' or 'avg', got {kind!r}")
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(data[0] if squeezed else data, (x,), _bw)
 
 
 def pool_channel(x: Tensor, kind: str) -> Tensor:
@@ -372,28 +339,25 @@ def pool_channel(x: Tensor, kind: str) -> Tensor:
     squeezed = x.data.ndim == 3
     if kind == "avg":
         data = xd.mean(axis=1, keepdims=True)
-        out = _make(data[0] if squeezed else data, (x,), None)
 
-        def _bw():
+        def _bw(gout):
             if x.requires_grad:
-                g = np.broadcast_to(out.grad.reshape(B, 1, H, W) / x.data.dtype.type(C), xd.shape)
+                g = np.broadcast_to(gout.reshape(B, 1, H, W) / x.data.dtype.type(C), xd.shape)
                 _acc(x, g[0] if squeezed else g)
 
     elif kind == "max":
         idx = xd.argmax(axis=1, keepdims=True)  # first maximum along channels
         data = np.take_along_axis(xd, idx, axis=1)
-        out = _make(data[0] if squeezed else data, (x,), None)
 
-        def _bw():
+        def _bw(gout):
             if x.requires_grad:
                 g = np.zeros_like(xd)
-                np.put_along_axis(g, idx, out.grad.reshape(B, 1, H, W), axis=1)
+                np.put_along_axis(g, idx, gout.reshape(B, 1, H, W), axis=1)
                 _acc(x, g[0] if squeezed else g)
 
     else:
         raise ValueError(f"pool kind must be 'max' or 'avg', got {kind!r}")
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(data[0] if squeezed else data, (x,), _bw)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -403,17 +367,15 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"concat_channels: bad ranks {a.shape}, {b.shape}")
     axis = a.data.ndim - 3
     ca = a.data.shape[axis]
-    out = _make(np.concatenate([a.data, b.data], axis=axis), (a, b), None)
 
-    def _bw():
-        ga, gb = np.split(out.grad, [ca], axis=axis)
+    def _bw(gout):
+        ga, gb = np.split(gout, [ca], axis=axis)
         if a.requires_grad:
             _acc(a, ga)
         if b.requires_grad:
             _acc(b, gb)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(np.concatenate([a.data, b.data], axis=axis), (a, b), _bw)
 
 
 def scale_channels(x: Tensor, g: Tensor) -> Tensor:
@@ -422,16 +384,14 @@ def scale_channels(x: Tensor, g: Tensor) -> Tensor:
     if g.data.ndim != x.data.ndim - 2 or g.data.shape != x.data.shape[:-2]:
         raise ValueError(f"scale_channels: gate shape {g.shape} does not match input {x.shape}")
     ge = g.data[..., None, None]
-    out = _make(x.data * ge, (x, g), None)
 
-    def _bw():
+    def _bw(gout):
         if x.requires_grad:
-            _acc(x, out.grad * ge)
+            _acc(x, gout * ge)
         if g.requires_grad:
-            _acc(g, (out.grad * x.data).sum(axis=(-2, -1)))
+            _acc(g, (gout * x.data).sum(axis=(-2, -1)))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(x.data * ge, (x, g), _bw)
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -443,17 +403,15 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.data - target.data
     dt = pred.data.dtype
     loss = (diff * diff).sum(dtype=dt) / dt.type(B)
-    out = _make(np.asarray(loss, dtype=dt).reshape(()), (pred, target), None)
 
-    def _bw():
-        scale = out.grad * dt.type(2) / dt.type(B)
+    def _bw(gout):
+        scale = gout * dt.type(2) / dt.type(B)
         if pred.requires_grad:
             _acc(pred, scale * diff)
         if target.requires_grad:
             _acc(target, -scale * diff)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _make(np.asarray(loss, dtype=dt).reshape(()), (pred, target), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -491,4 +449,4 @@ def backward(loss: Tensor) -> None:
     _acc(loss, np.ones_like(loss.data))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
-            node._backward()
+            node._backward(node.grad)

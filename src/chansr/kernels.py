@@ -1,9 +1,19 @@
-"""Hot convolution kernels: vectorized numpy/BLAS formulations.
+"""Hot convolution kernels: numpy/BLAS formulations shaped to the model's layers.
 
 All functions operate on contiguous 4-D arrays (batch, channel, height, width)
-in float32 or float64. Convolutions are im2col views contracted with
-``tensordot``; transposed convolutions are a ``tensordot`` followed by a
-strided scatter.
+in float32 or float64.
+
+A convolution is one explicit im2col GEMM (Chellapilla et al., 2006): a
+contiguous [B*H*W, Ci*kh*kw] column matrix times the kernel as a
+[Ci*kh*kw, Co] matrix. The weight gradient contracts the same columns with
+dy. The input gradient is chosen by shape: where Co >= Ci it is dy times the
+kernel matrix, scattered back by col2im; where Co < Ci the columns of dy are
+the smaller operand, so it is the convolution of dy with the flipped kernel.
+
+A transposed convolution whose stride equals its kernel gives every input
+pixel its own kh x kw output tile, so it is a sub-pixel shuffle (Shi et al.,
+2016): one GEMM and a reshape in both directions. Other strides scatter the
+GEMM's output into the overlapping tiles.
 
 Convolution convention: cross-correlation, "same" zero padding, odd kernels,
 stride 1. Transposed convolution: no padding, stride (sH, sW), output size
@@ -18,74 +28,135 @@ def _pad_same(x, kh, kw):
     return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
 
 
+def _im2col(x, kh, kw):
+    """Same-padded windows of x as [B*H*W, Ci*kh*kw]: rows (b, i, j), columns (c, a, e)."""
+    B, Ci, H, W = x.shape
+    if kh == 1 and kw == 1:
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(B * H * W, Ci)
+    if Ci < 8:
+        # few channels: one transposing copy out of the window view
+        win = np.lib.stride_tricks.sliding_window_view(_pad_same(x, kh, kw), (kh, kw), axis=(2, 3))
+        return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B * H * W, Ci * kh * kw)
+    # many channels: kh*kw slice copies out of a channels-last padded copy
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((B, H + 2 * ph, W + 2 * pw, Ci), x.dtype)
+    xp[:, ph : ph + H, pw : pw + W] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((B, H, W, Ci, kh, kw), x.dtype)
+    for a in range(kh):
+        for e in range(kw):
+            cols[..., a, e] = xp[:, a : a + H, e : e + W]
+    return cols.reshape(B * H * W, Ci * kh * kw)
+
+
+def _col2im(dcols, B, Ci, H, W, kh, kw):
+    """Adjoint of _im2col: scatter-add [B*H*W, Ci*kh*kw] columns into [B, Ci, H, W]."""
+    if kh == 1 and kw == 1:
+        return _nchw(dcols, B, H, W)
+    ph, pw = kh // 2, kw // 2
+    d = dcols.reshape(B, H, W, Ci, kh, kw)
+    dxp = np.zeros((B, H + 2 * ph, W + 2 * pw, Ci), dcols.dtype)
+    for a in range(kh):
+        for e in range(kw):
+            dxp[:, a : a + H, e : e + W] += d[..., a, e]
+    return np.ascontiguousarray(dxp[:, ph : ph + H, pw : pw + W].transpose(0, 3, 1, 2))
+
+
+def _wmat(w):
+    """Kernel [n0, n1, kh, kw] as the [n1*kh*kw, n0] matrix that multiplies column rows."""
+    return w.transpose(1, 2, 3, 0).reshape(-1, w.shape[0])
+
+
+def _nchw(rows, B, H, W):
+    """[B*H*W, C] rows as a contiguous [B, C, H, W] array."""
+    return np.ascontiguousarray(rows.reshape(B, H, W, -1).transpose(0, 3, 1, 2))
+
+
 def _np_conv2d_forward(x, w, bias):
-    kh, kw = w.shape[2], w.shape[3]
-    win = np.lib.stride_tricks.sliding_window_view(_pad_same(x, kh, kw), (kh, kw), axis=(2, 3))
-    # win: [B, Ci, H, W, kh, kw] . w: [Co, Ci, kh, kw] -> [B, H, W, Co]
-    y = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))
-    y = np.ascontiguousarray(np.moveaxis(y, 3, 1))
+    B, _, H, W = x.shape
+    y = _nchw(np.dot(_im2col(x, w.shape[2], w.shape[3]), _wmat(w)), B, H, W)
     if bias is not None:
         y += bias[None, :, None, None]
     return y
 
 
 def _np_conv2d_backward(x, w, dy, need_dx=True):
-    kh, kw = w.shape[2], w.shape[3]
+    B, Ci, H, W = x.shape
+    Co, kh, kw = w.shape[0], w.shape[2], w.shape[3]
+    dym = dy.transpose(1, 0, 2, 3).reshape(Co, B * H * W)
+    cols = _im2col(x, kh, kw)
+    if Co == 1:
+        # a one-row product lowers to a GEMV whose reduction order follows the BLAS
+        # thread count; two equal rows keep it a GEMM, which splits rows and columns only
+        dw = np.dot(np.concatenate([dym, dym]), cols)[:1]
+    else:
+        dw = np.dot(dym, cols)
     dx = None
-    if need_dx:
-        wt = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        dx = _np_conv2d_forward(dy, wt, None)
-    win = np.lib.stride_tricks.sliding_window_view(_pad_same(x, kh, kw), (kh, kw), axis=(2, 3))
-    # dy: [B, Co, H, W] . win: [B, Ci, H, W, kh, kw] -> [Co, Ci, kh, kw]
-    dw = np.tensordot(dy, win, axes=([0, 2, 3], [0, 2, 3]))
+    if need_dx and Co >= Ci:
+        dyr = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(B * H * W, Co)
+        dx = _col2im(np.dot(dyr, w.reshape(Co, -1)), B, Ci, H, W, kh, kw)
+    elif need_dx:
+        dx = _np_conv2d_forward(dy, np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)), None)
     db = dy.sum(axis=(0, 2, 3))
-    return dx, np.ascontiguousarray(dw), db
+    return dx, dw.reshape(w.shape), db
 
 
-def _deconv_out_shape(h, w, kh, kw, sH, sW):
-    return (h - 1) * sH + kh, (w - 1) * sW + kw
+def _subpixel_shuffle(t):
+    """[B, h, w, Co, kh, kw] tiles laid side by side: [B, Co, h*kh, w*kw]."""
+    B, h, wd, Co, kh, kw = t.shape
+    return np.ascontiguousarray(t.transpose(0, 3, 1, 4, 2, 5)).reshape(B, Co, h * kh, wd * kw)
 
 
-def _np_deconv2d_forward(x, w, bias, stride):
+def _strided_scatter(t, stride):
+    """[B, h, w, Co, kh, kw] tiles summed into the [B, Co, Ho, Wo] output at any stride."""
+    B, h, wd, Co, kh, kw = t.shape
     sH, sW = stride
-    B, Ci, h, wd = x.shape
-    Co, kh, kw = w.shape[1], w.shape[2], w.shape[3]
-    Ho, Wo = _deconv_out_shape(h, wd, kh, kw, sH, sW)
-    # x: [B, Ci, h, w] . w: [Ci, Co, kh, kw] -> [B, h, w, Co, kh, kw]
-    t = np.tensordot(x, w, axes=([1], [0])).transpose(0, 3, 1, 2, 4, 5)
-    y = np.zeros((B, Co, Ho, Wo), dtype=x.dtype)
+    y = np.zeros((B, Co, (h - 1) * sH + kh, (wd - 1) * sW + kw), dtype=t.dtype)
+    t = t.transpose(0, 3, 1, 2, 4, 5)
     for a in range(kh):
         for e in range(kw):
             y[:, :, a : a + (h - 1) * sH + 1 : sH, e : e + (wd - 1) * sW + 1 : sW] += t[..., a, e]
+    return y
+
+
+def _subpixel_unshuffle(dy, h, wd, kh, kw):
+    """Inverse of _subpixel_shuffle, as [B*h*w, Co*kh*kw] rows."""
+    B, Co = dy.shape[0], dy.shape[1]
+    g = np.ascontiguousarray(dy.reshape(B, Co, h, kh, wd, kw).transpose(0, 2, 4, 1, 3, 5))
+    return g.reshape(B * h * wd, Co * kh * kw)
+
+
+def _strided_gather(dy, h, wd, kh, kw, stride):
+    """dy at every (input position, kernel offset) pair at any stride, as [B*h*w, Co*kh*kw] rows."""
+    B, Co = dy.shape[0], dy.shape[1]
+    sH, sW = stride
+    g = np.empty((B, h, wd, Co, kh, kw), dtype=dy.dtype)
+    gt = g.transpose(0, 3, 1, 2, 4, 5)
+    for a in range(kh):
+        for e in range(kw):
+            gt[..., a, e] = dy[:, :, a : a + (h - 1) * sH + 1 : sH, e : e + (wd - 1) * sW + 1 : sW]
+    return g.reshape(B * h * wd, Co * kh * kw)
+
+
+def _np_deconv2d_forward(x, w, bias, stride):
+    # x: [B, Ci, h, w] . w: [Ci, Co, kh, kw] -> [B, h, w, Co, kh, kw]
+    t = np.tensordot(x, w, axes=([1], [0]))
+    y = _subpixel_shuffle(t) if tuple(stride) == w.shape[2:] else _strided_scatter(t, stride)
     if bias is not None:
         y += bias[None, :, None, None]
     return y
 
 
-def _gather_strided(dy, h, wd, kh, kw, sH, sW):
-    """View dy at every (input position, kernel offset) pair: [B, Co, h, w, kh, kw]."""
-    B, Co = dy.shape[0], dy.shape[1]
-    g = np.empty((B, Co, h, wd, kh, kw), dtype=dy.dtype)
-    for a in range(kh):
-        for e in range(kw):
-            g[..., a, e] = dy[:, :, a : a + (h - 1) * sH + 1 : sH, e : e + (wd - 1) * sW + 1 : sW]
-    return g
-
-
 def _np_deconv2d_backward(x, w, dy, stride, need_dx=True):
-    sH, sW = stride
     B, Ci, h, wd = x.shape
-    Co, kh, kw = w.shape[1], w.shape[2], w.shape[3]
-    g = _gather_strided(dy, h, wd, kh, kw, sH, sW)
-    dx = None
-    if need_dx:
-        # g: [B, Co, h, w, kh, kw] . w: [Ci, Co, kh, kw] -> [B, h, w, Ci]
-        dx = np.tensordot(g, w, axes=([1, 4, 5], [1, 2, 3]))
-        dx = np.ascontiguousarray(np.moveaxis(dx, 3, 1))
-    # x: [B, Ci, h, w] . g: [B, Co, h, w, kh, kw] -> [Ci, Co, kh, kw]
-    dw = np.tensordot(x, g, axes=([0, 2, 3], [0, 2, 3]))
+    kh, kw = w.shape[2], w.shape[3]
+    if tuple(stride) == (kh, kw):
+        g = _subpixel_unshuffle(dy, h, wd, kh, kw)
+    else:
+        g = _strided_gather(dy, h, wd, kh, kw, stride)
+    dx = _nchw(np.dot(g, _wmat(w)), B, h, wd) if need_dx else None
+    dw = np.dot(x.transpose(1, 0, 2, 3).reshape(Ci, B * h * wd), g)
     db = dy.sum(axis=(0, 2, 3))
-    return dx, np.ascontiguousarray(dw), db
+    return dx, dw.reshape(w.shape), db
 
 
 def _check_conv_args(x, w, bias):

@@ -41,10 +41,6 @@ class Adam:
             p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
             p.grad = None
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
 
 def clip_global_norm(params, max_norm: float) -> float:
     """Scale all grads so their joint L2 norm is at most max_norm; returns the pre-clip norm."""

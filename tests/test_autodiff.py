@@ -1,5 +1,8 @@
 """Autodiff op semantics and gradients against finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,25 @@ def test_repeated_backward_accumulates_on_leaves():
     first = x.grad.copy()
     ad.backward(loss)
     assert np.allclose(x.grad, 2 * first)
+
+
+def test_graph_is_freed_by_refcount_after_backward():
+    # backward closures never reference their output, so dropping the loss frees the
+    # graph without the cycle collector; the weakref watches an intermediate's output array
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    gc.disable()
+    try:
+        mid = ad.sigmoid(x * x)
+        alive = weakref.ref(mid.data)
+        loss = ad.tensor_sum(ad.relu(mid))
+        del mid
+        ad.backward(loss)
+        assert alive() is not None  # the loss still holds its graph
+        del loss
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert x.grad.shape == (2, 3)
 
 
 def test_backward_linearity():

@@ -1,11 +1,14 @@
 """End-to-end command-line pipeline on a reduced grid."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chansr
 from chansr.cli import main
 from chansr.dataset import load_dataset
 
@@ -35,6 +38,14 @@ def ws(tmp_path, monkeypatch):
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _child_env(**overrides):
+    """Environment for a child interpreter that imports the chansr under test, installed or not."""
+    src = str(Path(chansr.__file__).resolve().parents[1])
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return env
 
 
 def _gen(ws, name, profile="tdl-a", n=8, seed="0", split="train", snr="10"):
@@ -252,8 +263,24 @@ def test_seed_flag_overrides_config(ws):
 
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "chansr.cli", "--help"],
-                         capture_output=True, text=True, timeout=60)
+                         capture_output=True, text=True, timeout=60, env=_child_env())
     assert out.returncode == 0
     for cmd in ("gen", "train", "fisher", "train-cl", "train-multitask",
                 "eval", "report-forgetting"):
         assert cmd in out.stdout
+
+
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(ws):
+    # default geometry, where BLAS splits the larger products across threads; a GEMV in a
+    # weight gradient made these two checkpoints differ before it was routed through GEMM
+    rc = _run("gen", "--profile", "tdl-a", "--snr", "10", "--n", "512", "--seed", "0", "--out", "a.chds")
+    assert rc == 0
+    digests = []
+    for threads in ("1", "2"):
+        out = subprocess.run([sys.executable, "-m", "chansr.cli", "train", "--data", "a.chds",
+                              "--epochs", "2", "--seed", "0", "--out", f"t{threads}"],
+                             capture_output=True, text=True, timeout=300,
+                             env=_child_env(OPENBLAS_NUM_THREADS=threads))
+        assert out.returncode == 0, out.stderr
+        digests.append((ws / f"t{threads}" / "checkpoint.dasr").read_bytes())
+    assert digests[0] == digests[1]

@@ -1,5 +1,7 @@
 """Convolution kernels against brute-force loop oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -116,22 +118,56 @@ def test_conv2d_shape_errors():
                                  np.zeros((2, 1, 2, 2), np.float32), np.zeros(1, np.float32), (1, 1))
 
 
+def _close(got, want, tol=1e-9):
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
 def test_model_layer_shapes_match_oracles():
-    # every layer of the model at batch 1 on the 15 x 6 pilot grid, channels from its weight
+    # every layer of the model on the 15 x 6 pilot grid, channels from its weight, in f64, at
+    # batch 1 and 3: forward against the loop oracles; dw and dx as the adjoints of the oracle's
+    # linear maps (<dy, f(dir)> == <grad, dir> for a random direction); deconv dx and db in full
     rng = np.random.default_rng(12)
-    for name, shape in PARAM_SPECS:
+    for batch, (name, shape) in itertools.product((1, 3), PARAM_SPECS):
         if not name.endswith("_w"):
             continue
+        label = f"{name} at batch {batch}"
         w = rng.standard_normal(shape)
+        dir_w = rng.standard_normal(shape)
         if name == "us_deconv_w":
-            x = rng.standard_normal((1, shape[0], 15, 6))
+            x = rng.standard_normal((batch, shape[0], 15, 6))
             b = rng.standard_normal(shape[1])
             got = kernels.deconv2d_forward(x, w, b, UPSAMPLE_STRIDE)
             want = deconv2d_oracle(x, w, b, UPSAMPLE_STRIDE)
+            dy = rng.standard_normal(want.shape)
+            dx, dw, db = kernels.deconv2d_backward(x, w, dy, UPSAMPLE_STRIDE)
+            assert np.max(np.abs(dx - deconv2d_adjoint_oracle(dy, w, UPSAMPLE_STRIDE, 15, 6))) < 1e-9, label
+            w_map = np.sum(dy * deconv2d_oracle(x, dir_w, np.zeros(shape[1]), UPSAMPLE_STRIDE))
         else:
-            x = rng.standard_normal((1, shape[1], 15, 6))
+            x = rng.standard_normal((batch, shape[1], 15, 6))
             b = rng.standard_normal(shape[0])
             got = kernels.conv2d_forward(x, w, b)
             want = conv2d_oracle(x, w, b)
-        assert got.shape == want.shape, name
-        assert np.max(np.abs(got - want)) < 1e-5, name
+            dy = rng.standard_normal(want.shape)
+            dx, dw, db = kernels.conv2d_backward(x, w, dy)
+            dir_x = rng.standard_normal(x.shape)
+            assert _close(np.sum(dx * dir_x), np.sum(dy * conv2d_oracle(dir_x, w, np.zeros(shape[0])))), label
+            w_map = np.sum(dy * conv2d_oracle(x, dir_w, np.zeros(shape[0])))
+        assert got.shape == want.shape, label
+        assert np.max(np.abs(got - want)) < 1e-5, label
+        assert dx.shape == x.shape and dw.shape == w.shape, label
+        assert _close(np.sum(dw * dir_w), w_map), label
+        assert np.allclose(db, dy.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12), label
+
+
+def test_subpixel_deconv_equals_general_strided_path():
+    # at stride == kernel the upsampler reshapes instead of scattering and gathering;
+    # both must give the same bits, since the GEMMs around them are shared
+    rng = np.random.default_rng(14)
+    for dtype in (np.float32, np.float64):
+        x = rng.standard_normal((3, 32, 15, 6)).astype(dtype)
+        w = rng.standard_normal((32, 2) + UPSAMPLE_STRIDE).astype(dtype)
+        t = np.tensordot(x, w, axes=([1], [0]))
+        assert np.array_equal(kernels._subpixel_shuffle(t), kernels._strided_scatter(t, UPSAMPLE_STRIDE))
+        dy = rng.standard_normal((3, 2, 135, 30)).astype(dtype)
+        assert np.array_equal(kernels._subpixel_unshuffle(dy, 15, 6, *UPSAMPLE_STRIDE),
+                              kernels._strided_gather(dy, 15, 6, *UPSAMPLE_STRIDE, UPSAMPLE_STRIDE))
