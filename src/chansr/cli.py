@@ -6,10 +6,11 @@ report-forgetting. Global flags: --config, --seed, --out, --force,
 2 data error (missing/corrupt files), 3 numerical failure.
 
 Every run directory receives the resolved config echo (config.ini) and a
-provenance file (seed, precision, git describe, argv). A rerun with the same
-config and seed reproduces the outputs bit-for-bit on the same numpy/BLAS
-build at the same BLAS thread count. Output files carry no timestamps; only
-default directory names do.
+provenance file (seed, precision, git describe, argv, numpy version, BLAS name
+and version, the *_NUM_THREADS environment variables, os.cpu_count()). A
+rerun with the same config and seed reproduces the outputs bit-for-bit on the
+same numpy/BLAS build at the same BLAS thread count. Output files carry no
+timestamps; only default directory names do.
 """
 
 import argparse
@@ -162,11 +163,17 @@ def _run_dir(args, prefix: str) -> str:
 
 def _write_provenance(run_dir: str, cfg: RunConfig, argv) -> None:
     atomic_write_text(os.path.join(run_dir, "config.ini"), cfg.echo())
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads = " ".join(f"{k}={v}" for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS"))
     lines = [
         f"seed = {cfg.seed}",
         f"precision = {cfg.precision}",
         f"git = {_git_describe()}",
         f"argv = {' '.join(argv)}",
+        f"numpy = {np.__version__}",
+        f"blas = {blas.get('name', 'unknown')} {blas.get('version', '')}".rstrip(),
+        f"thread_env = {threads or '(none set)'}",
+        f"cpu_count = {os.cpu_count()}",
     ]
     atomic_write_text(os.path.join(run_dir, "provenance.txt"), "\n".join(lines) + "\n")
 

@@ -5,7 +5,10 @@ in float32 or float64.
 
 A convolution is one explicit im2col GEMM (Chellapilla et al., 2006): a
 contiguous [B*H*W, Ci*kh*kw] column matrix times the kernel as a
-[Ci*kh*kw, Co] matrix. The weight gradient contracts the same columns with
+[Ci*kh*kw, Co] matrix. The columns are one np.take out of a zero-padded copy
+of the input in its NCHW order, by a flat index built once per (Ci, H, W, kh,
+kw) and cached read-only; a 1x1 kernel's columns are the input itself in
+channels-last order. The weight gradient contracts the same columns with
 dy. The input gradient is chosen by shape: where Co > Ci it is dy times the
 kernel matrix, scattered back by col2im, which is the faster form there;
 where Co < Ci the columns of dy are the smaller operand, and the convolution
@@ -25,23 +28,39 @@ stride 1. Transposed convolution: no padding, stride (sH, sW), output size
 (h-1)*sH+kH by (w-1)*sW+kW.
 """
 
+import functools
+
 import numpy as np
+
+
+@functools.lru_cache(maxsize=16)
+def _gather_index(Ci, H, W, kh, kw):
+    """Flat offsets into one sample of the padded [Ci, H+kh-1, W+kw-1] input, as a
+    read-only [H*W, Ci*kh*kw] array: rows (i, j), columns (c, a, e)."""
+    Hp, Wp = H + kh - 1, W + kw - 1
+    rows = np.arange(H)[:, None] * Wp + np.arange(W)
+    cols = np.arange(Ci)[:, None, None] * (Hp * Wp) + np.arange(kh)[:, None] * Wp + np.arange(kw)
+    idx = rows.reshape(-1, 1) + cols.reshape(1, -1)
+    idx.setflags(write=False)
+    return idx
 
 
 def _im2col(x, kh, kw):
     """Same-padded windows of x as [B*H*W, Ci*kh*kw]: rows (b, i, j), columns (c, a, e).
 
-    One copy out of the window view of a channels-last padded copy of x; a 1x1
-    kernel's columns are x itself in channels-last order.
+    One gather, by a cached index, out of a zero-padded copy of x in its own
+    NCHW order; a 1x1 kernel's columns are x itself in channels-last order.
     """
     B, Ci, H, W = x.shape
     if kh == 1 and kw == 1:
         return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(B * H * W, Ci)
     ph, pw = kh // 2, kw // 2
-    xp = np.zeros((B, H + 2 * ph, W + 2 * pw, Ci), x.dtype)
-    xp[:, ph : ph + H, pw : pw + W] = x.transpose(0, 2, 3, 1)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return np.ascontiguousarray(win).reshape(B * H * W, Ci * kh * kw)
+    xp = np.zeros((B, Ci, H + 2 * ph, W + 2 * pw), x.dtype)
+    xp[:, :, ph : ph + H, pw : pw + W] = x
+    # every offset is in range by construction; "wrap" gathers about a fifth faster than
+    # the default bounds-checking mode and takes the same elements
+    cols = np.take(xp.reshape(B, -1), _gather_index(Ci, H, W, kh, kw), axis=1, mode="wrap")
+    return cols.reshape(B * H * W, Ci * kh * kw)
 
 
 def _col2im(dcols, B, Ci, H, W, kh, kw):

@@ -110,6 +110,17 @@ def ewc_loss(params_now: ModelParams, fisher: FisherDiag, lam: float) -> Tensor:
     return ad.mul_elementwise(half_lam, total)
 
 
+def _with_penalty(loss_h: Tensor, params: ModelParams, fisher: FisherDiag, cfg: TrainConfig):
+    """loss_h + alpha * anchor penalty, and the penalty's value.
+
+    A function of its own so that no name in the training loop holds the
+    penalty's graph past the step.
+    """
+    penalty = ewc_loss(params, fisher, cfg.lam)
+    alpha = Tensor(np.asarray(cfg.alpha, dtype=penalty.data.dtype))
+    return ad.add(loss_h, ad.mul_elementwise(alpha, penalty)), penalty.item()
+
+
 def _run_epochs(params: ModelParams, ds: ChannelDataset, cfg: TrainConfig,
                 fisher: FisherDiag | None = None):
     """Shared mini-batch Adam loop; EWC penalty active only when lam*alpha > 0."""
@@ -130,13 +141,10 @@ def _run_epochs(params: ModelParams, ds: ChannelDataset, cfg: TrainConfig,
             x = Tensor(x_all[idx], dtype=x_all.dtype)
             y = Tensor(y_all[idx], dtype=y_all.dtype)
             loss_h = ad.mse_loss(forward(x, params, target), y)
+            loss = loss_h
             if use_ewc:
-                penalty = ewc_loss(params, fisher, cfg.lam)
-                alpha = Tensor(np.asarray(cfg.alpha, dtype=penalty.data.dtype))
-                loss = ad.add(loss_h, ad.mul_elementwise(alpha, penalty))
-                ewc_sum += penalty.item()
-            else:
-                loss = loss_h
+                loss, penalty = _with_penalty(loss_h, params, fisher, cfg)
+                ewc_sum += penalty
             value = loss.item()
             if not np.isfinite(value):
                 raise FloatingPointError(
@@ -146,6 +154,7 @@ def _run_epochs(params: ModelParams, ds: ChannelDataset, cfg: TrainConfig,
                 clip_global_norm(tensors, cfg.clip_norm)
             opt.step()
             h_sum += loss_h.item()
+            del loss, loss_h  # free this step's graph before the next forward builds one
         n_b = len(slices)
         row = {"epoch": epoch, "loss": h_sum / n_b}
         if use_ewc:
@@ -183,8 +192,7 @@ def fisher_diagonal(tensors, batch_losses):
     for make_loss in batch_losses:
         for t in tensors:
             t.zero_grad()
-        loss = make_loss()
-        ad.backward(loss)
+        ad.backward(make_loss())  # the batch's graph is freed when backward returns
         for a, t in zip(acc, tensors):
             g = t.grad.astype(np.float64)
             a += g * g

@@ -28,6 +28,15 @@ def conv2d_oracle(x, w, b):
     return y
 
 
+def im2col_oracle(x, kh, kw):
+    """Same-padded windows as [B*H*W, Ci*kh*kw] columns, copied out of a sliding-window view."""
+    B, Ci, H, W = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))  # [B, Ci, H, W, kh, kw]
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B * H * W, Ci * kh * kw)
+
+
 def deconv2d_oracle(x, w, b, stride):
     """Transposed convolution in its defining scatter form."""
     B, Ci, h, wd = x.shape

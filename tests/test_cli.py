@@ -121,6 +121,13 @@ def test_train_run_dir_and_reproducibility(ws):
     assert lines[0] == "epoch,loss" and len(lines) == 3
     prov = (ws / "run1" / "provenance.txt").read_text()
     assert "seed = 3" in prov and "precision = f32" in prov
+    fields = dict(line.split(" = ", 1) for line in prov.splitlines())
+    assert fields["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert fields["blas"] == f"{blas['name']} {blas['version']}"
+    assert fields["cpu_count"] == str(os.cpu_count())
+    threads = sorted((k, v) for k, v in os.environ.items() if k.endswith("_NUM_THREADS"))
+    assert fields["thread_env"] == (" ".join(f"{k}={v}" for k, v in threads) or "(none set)")
 
 
 def test_train_epoch_override_and_missing_data(ws, capsys):

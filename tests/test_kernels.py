@@ -8,7 +8,7 @@ import pytest
 from chansr import kernels
 from chansr.model import PARAM_SPECS, UPSAMPLE_STRIDE
 
-from oracles import conv2d_oracle, deconv2d_adjoint_oracle, deconv2d_oracle
+from oracles import conv2d_oracle, deconv2d_adjoint_oracle, deconv2d_oracle, im2col_oracle
 
 
 def _rand_conv_case(rng, dtype=np.float32):
@@ -171,3 +171,30 @@ def test_subpixel_deconv_equals_general_strided_path():
         dy = rng.standard_normal((3, 2, 135, 30)).astype(dtype)
         assert np.array_equal(kernels._subpixel_unshuffle(dy, 15, 6, *UPSAMPLE_STRIDE),
                               kernels._strided_gather(dy, 15, 6, *UPSAMPLE_STRIDE, UPSAMPLE_STRIDE))
+
+
+def test_im2col_matches_window_oracle_bit_for_bit():
+    # the columns are a pure copy, so every (Ci, kernel) the model builds, 1x1 included, at
+    # batch 1, 3 and 128 in both dtypes, and a grid that is not the model's, give the same bits
+    rng = np.random.default_rng(15)
+    shapes = [(2, 3), (16, 3), (2, 7), (1, 7), (2, 5), (16, 1), (32, 1)]
+    for (ci, k), batch, dtype in itertools.product(shapes, (1, 3, 128), (np.float32, np.float64)):
+        x = rng.standard_normal((batch, ci, 15, 6)).astype(dtype)
+        got = kernels._im2col(x, k, k)
+        assert got.dtype == dtype and got.flags.c_contiguous, (ci, k, batch)
+        assert np.array_equal(got, im2col_oracle(x, k, k)), (ci, k, batch, dtype)
+    x = rng.standard_normal((2, 3, 4, 3))
+    assert np.array_equal(kernels._im2col(x, 5, 3), im2col_oracle(x, 5, 3))
+
+
+def test_im2col_index_cache_is_read_only_and_bounded():
+    idx = kernels._gather_index(2, 15, 6, 3, 3)
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0
+    assert kernels._gather_index(2, 15, 6, 3, 3) is idx
+    limit = kernels._gather_index.cache_info().maxsize
+    assert limit is not None
+    for h in range(1, limit + 5):
+        kernels._gather_index(1, h, 1, 3, 3)
+    assert kernels._gather_index.cache_info().currsize <= limit

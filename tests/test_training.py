@@ -1,9 +1,12 @@
 """Training loops, Fisher estimation, anchor penalty, FISH files, loss CSV."""
 
+import gc
+
 import numpy as np
 import pytest
 
 import chansr.autodiff as ad
+import chansr.training as training
 from chansr.autodiff import Tensor
 from chansr.channel import OfdmConfig, PilotPattern, load_tdl_profile
 from chansr.dataset import DOMAIN_TRAIN, generate_dataset
@@ -229,6 +232,38 @@ def test_loss_csv_format(tmp_path):
     assert lines[1] == "0,1.0000000000e+00,5.0000000000e-01,1.5000000000e+00"
     with pytest.raises(ValueError):
         write_loss_csv(tmp_path / "empty.csv", [])
+
+
+def _live_tensors():
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+
+def test_each_step_frees_the_previous_graph_before_its_forward(monkeypatch):
+    # at the start of every forward only the parameters and this batch's x and y are alive:
+    # the previous step's graph (activations, gradients, penalty terms) is already freed,
+    # by refcount alone, since the cycle collector is off
+    p = init_params(np.random.default_rng(6))
+    ds = _tiny_dataset(6)
+    cfg = TrainConfig(batch_size=2, epochs=2, seed=1)
+    counts = []
+    real_forward = training.forward
+
+    def counting_forward(*args, **kwargs):
+        counts.append(_live_tensors())
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", counting_forward)
+    gc.collect()
+    gc.disable()
+    try:
+        base = _live_tensors()
+        train_task(p, ds, cfg)
+        fd = estimate_fisher(p, ds, cfg)
+        train_task_cl(p, ds, fd, TrainConfig(batch_size=2, epochs=2, seed=2, lam=10.0))
+    finally:
+        gc.enable()
+    assert len(counts) == 3 * 2 + 3 + 3 * 2
+    assert counts == [base + 2] * len(counts)
 
 
 def test_train_config_validation():
