@@ -161,9 +161,16 @@ def _run_dir(args, prefix: str) -> str:
     return path
 
 
+def _blas_build() -> str:
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy < 1.25 has no dict form of its build config
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".rstrip()
+
+
 def _write_provenance(run_dir: str, cfg: RunConfig, argv) -> None:
     atomic_write_text(os.path.join(run_dir, "config.ini"), cfg.echo())
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     threads = " ".join(f"{k}={v}" for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS"))
     lines = [
         f"seed = {cfg.seed}",
@@ -171,7 +178,7 @@ def _write_provenance(run_dir: str, cfg: RunConfig, argv) -> None:
         f"git = {_git_describe()}",
         f"argv = {' '.join(argv)}",
         f"numpy = {np.__version__}",
-        f"blas = {blas.get('name', 'unknown')} {blas.get('version', '')}".rstrip(),
+        f"blas = {_blas_build()}",
         f"thread_env = {threads or '(none set)'}",
         f"cpu_count = {os.cpu_count()}",
     ]

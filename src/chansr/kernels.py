@@ -54,11 +54,13 @@ def _im2col(x, kh, kw):
     B, Ci, H, W = x.shape
     if kh == 1 and kw == 1:
         return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(B * H * W, Ci)
+    # the index assumes H+kh-1 padded rows, which is H+2*(kh//2) only for odd kernels
+    assert kh % 2 == 1 and kw % 2 == 1, (kh, kw)
     ph, pw = kh // 2, kw // 2
     xp = np.zeros((B, Ci, H + 2 * ph, W + 2 * pw), x.dtype)
     xp[:, :, ph : ph + H, pw : pw + W] = x
-    # every offset is in range by construction; "wrap" gathers about a fifth faster than
-    # the default bounds-checking mode and takes the same elements
+    # with odd kernels every offset is in range; "wrap" skips the bounds check the default
+    # mode makes (BENCH_7.json, gather_mode) and takes the same elements
     cols = np.take(xp.reshape(B, -1), _gather_index(Ci, H, W, kh, kw), axis=1, mode="wrap")
     return cols.reshape(B * H * W, Ci * kh * kw)
 

@@ -110,17 +110,6 @@ def ewc_loss(params_now: ModelParams, fisher: FisherDiag, lam: float) -> Tensor:
     return ad.mul_elementwise(half_lam, total)
 
 
-def _with_penalty(loss_h: Tensor, params: ModelParams, fisher: FisherDiag, cfg: TrainConfig):
-    """loss_h + alpha * anchor penalty, and the penalty's value.
-
-    A function of its own so that no name in the training loop holds the
-    penalty's graph past the step.
-    """
-    penalty = ewc_loss(params, fisher, cfg.lam)
-    alpha = Tensor(np.asarray(cfg.alpha, dtype=penalty.data.dtype))
-    return ad.add(loss_h, ad.mul_elementwise(alpha, penalty)), penalty.item()
-
-
 def _run_epochs(params: ModelParams, ds: ChannelDataset, cfg: TrainConfig,
                 fisher: FisherDiag | None = None):
     """Shared mini-batch Adam loop; EWC penalty active only when lam*alpha > 0."""
@@ -141,10 +130,14 @@ def _run_epochs(params: ModelParams, ds: ChannelDataset, cfg: TrainConfig,
             x = Tensor(x_all[idx], dtype=x_all.dtype)
             y = Tensor(y_all[idx], dtype=y_all.dtype)
             loss_h = ad.mse_loss(forward(x, params, target), y)
-            loss = loss_h
             if use_ewc:
-                loss, penalty = _with_penalty(loss_h, params, fisher, cfg)
-                ewc_sum += penalty
+                penalty = ewc_loss(params, fisher, cfg.lam)
+                alpha = Tensor(np.asarray(cfg.alpha, dtype=penalty.data.dtype))
+                loss = ad.add(loss_h, ad.mul_elementwise(alpha, penalty))
+                ewc_sum += penalty.item()
+                del penalty, alpha
+            else:
+                loss = loss_h
             value = loss.item()
             if not np.isfinite(value):
                 raise FloatingPointError(
