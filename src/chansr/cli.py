@@ -203,12 +203,12 @@ def _init_rng(cfg: RunConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_INIT_TAG,)))
 
 
-def _train_cfg(cfg: RunConfig, args, **extra):
-    over = dict(extra)
-    for name, attr in (("epochs", "epochs"), ("batch_size", "batch_size"), ("lr", "lr")):
+def _train_cfg(cfg: RunConfig, args):
+    over = {}
+    for name in ("epochs", "batch_size", "lr", "lam", "alpha"):
         v = getattr(args, name, None)
         if v is not None:
-            over[attr] = v
+            over[name] = v
     try:
         return cfg.train_config(**over)
     except ValueError as e:
@@ -272,12 +272,7 @@ def cmd_train_cl(args, cfg: RunConfig, argv) -> int:
         fd = load_fisher(args.fisher)
     except (OSError, ValueError) as e:
         raise DataError(f"cannot load Fisher file {args.fisher}: {e}") from e
-    over = {}
-    if args.lam is not None:
-        over["lam"] = args.lam
-    if args.alpha is not None:
-        over["alpha"] = args.alpha
-    tc = _train_cfg(cfg, args, **over)
+    tc = _train_cfg(cfg, args)
     run_dir = _run_dir(args, "train-cl")
     trace = train_task_cl(params, ds, fd, tc)
     _finish_training(run_dir, params, trace, cfg, argv)

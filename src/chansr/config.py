@@ -15,31 +15,31 @@ from .channel import OfdmConfig, PilotPattern, TdlProfile, doppler_from_speed, l
 from .training import DEFAULT_EWC_LAMBDA, TrainConfig
 
 _SCHEMA = {
-    # section, key, type, default
-    ("ofdm", "n_f"): ("n_f", int, 128),
-    ("ofdm", "n_t"): ("n_t", int, 28),
-    ("ofdm", "delta_f"): ("delta_f", float, 15e3),
-    ("ofdm", "f_c"): ("f_c", float, 2e9),
-    ("ofdm", "symbol_duration"): ("symbol_duration", float, None),  # None: (1+cp)/delta_f
-    ("ofdm", "cp_fraction"): ("cp_fraction", float, 0.07),
-    ("pilot", "freq_interval"): ("freq_interval", int, 9),
-    ("pilot", "time_interval"): ("time_interval", int, 5),
-    ("channel", "delay_spread"): ("delay_spread", float, 100e-9),
-    ("channel", "speed_kmh"): ("speed_kmh", float, 50.0),
-    ("channel", "doppler_hz"): ("doppler_hz", float, None),  # None: derive from speed
-    ("channel", "profile_1"): ("profile_1", str, "tdl-a"),
-    ("channel", "profile_2"): ("profile_2", str, "tdl-d"),
-    ("train", "batch_size"): ("batch_size", int, 128),
-    ("train", "epochs"): ("epochs", int, 30),
-    ("train", "lr"): ("lr", float, 1e-3),
-    ("train", "lambda"): ("lam", float, DEFAULT_EWC_LAMBDA),
-    ("train", "alpha"): ("alpha", float, 1.0),
-    ("train", "clip_norm"): ("clip_norm", float, 10.0),
-    ("train", "train_snr_db"): ("train_snr_db", float, 10.0),
-    ("eval", "snr_list"): ("snr_list", "floats", (0.0, 3.0, 6.0, 9.0, 12.0, 15.0)),
-    ("eval", "mc"): ("mc", int, 500),
-    ("run", "seed"): ("seed", int, 0),
-    ("run", "precision"): ("precision", str, "f32"),
+    # (section, key): (RunConfig field, type)
+    ("ofdm", "n_f"): ("n_f", int),
+    ("ofdm", "n_t"): ("n_t", int),
+    ("ofdm", "delta_f"): ("delta_f", float),
+    ("ofdm", "f_c"): ("f_c", float),
+    ("ofdm", "symbol_duration"): ("symbol_duration", float),
+    ("ofdm", "cp_fraction"): ("cp_fraction", float),
+    ("pilot", "freq_interval"): ("freq_interval", int),
+    ("pilot", "time_interval"): ("time_interval", int),
+    ("channel", "delay_spread"): ("delay_spread", float),
+    ("channel", "speed_kmh"): ("speed_kmh", float),
+    ("channel", "doppler_hz"): ("doppler_hz", float),
+    ("channel", "profile_1"): ("profile_1", str),
+    ("channel", "profile_2"): ("profile_2", str),
+    ("train", "batch_size"): ("batch_size", int),
+    ("train", "epochs"): ("epochs", int),
+    ("train", "lr"): ("lr", float),
+    ("train", "lambda"): ("lam", float),
+    ("train", "alpha"): ("alpha", float),
+    ("train", "clip_norm"): ("clip_norm", float),
+    ("train", "train_snr_db"): ("train_snr_db", float),
+    ("eval", "snr_list"): ("snr_list", "floats"),
+    ("eval", "mc"): ("mc", int),
+    ("run", "seed"): ("seed", int),
+    ("run", "precision"): ("precision", str),
 }
 
 
@@ -49,13 +49,13 @@ class RunConfig:
     n_t: int = 28
     delta_f: float = 15e3
     f_c: float = 2e9
-    symbol_duration: float | None = None
+    symbol_duration: float | None = None  # None: (1+cp)/delta_f
     cp_fraction: float = 0.07
     freq_interval: int = 9
     time_interval: int = 5
     delay_spread: float = 100e-9
     speed_kmh: float = 50.0
-    doppler_hz: float | None = None
+    doppler_hz: float | None = None  # None: derive from speed
     profile_1: str = "tdl-a"
     profile_2: str = "tdl-d"
     batch_size: int = 128
@@ -115,7 +115,7 @@ class RunConfig:
     def echo(self) -> str:
         """Resolved configuration as canonical INI text."""
         parser = configparser.ConfigParser()
-        for (section, key), (name, kind, _default) in _SCHEMA.items():
+        for (section, key), (name, kind) in _SCHEMA.items():
             if not parser.has_section(section):
                 parser.add_section(section)
             value = getattr(self, name)
@@ -161,12 +161,11 @@ def load_config(path: str | None = None) -> RunConfig:
             parser.read_file(fh)
     except (OSError, configparser.Error) as e:
         raise ValueError(f"cannot read config {path}: {e}") from e
-    known = {(s, k): v for (s, k), v in _SCHEMA.items()}
     for section in parser.sections():
         for key in parser[section]:
-            if (section, key) not in known:
+            if (section, key) not in _SCHEMA:
                 raise ValueError(f"{path}: unknown config key [{section}] {key}")
-            name, kind, _default = known[(section, key)]
+            name, kind = _SCHEMA[(section, key)]
             try:
                 cfg.set_value(name, _parse_value(kind, parser[section][key]))
             except ValueError as e:

@@ -47,8 +47,6 @@ class TrainConfig:
     alpha: float = 1.0  # EWC mixing weight
     seed: int = 0
     clip_norm: float | None = 10.0  # global-norm gradient clip; None disables
-    dataset_paths: tuple = ()
-    checkpoint_path: str | None = None
 
     def __post_init__(self):
         if self.batch_size < 1:

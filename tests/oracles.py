@@ -37,6 +37,20 @@ def im2col_oracle(x, kh, kw):
     return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B * H * W, Ci * kh * kw)
 
 
+def windows_oracle(src, h, wd, kh, kw, stride):
+    """The kh x kw window at (i*sH, j*sW) of src [B, C, Hs, Ws], for i < h and j < wd, as
+    [B*h*wd, C*kh*kw] rows (b, i, j), columns (c, a, e), copied one offset at a time."""
+    B, C = src.shape[:2]
+    sH, sW = stride
+    g = np.empty((B, h, wd, C, kh, kw), dtype=src.dtype)
+    for i in range(h):
+        for j in range(wd):
+            for a in range(kh):
+                for e in range(kw):
+                    g[:, i, j, :, a, e] = src[:, :, i * sH + a, j * sW + e]
+    return g.reshape(B * h * wd, C * kh * kw)
+
+
 def deconv2d_oracle(x, w, b, stride):
     """Transposed convolution in its defining scatter form."""
     B, Ci, h, wd = x.shape

@@ -11,6 +11,7 @@ import pytest
 import chansr
 from chansr.cli import main
 from chansr.dataset import load_dataset
+from chansr.model import DASR_MAGIC, load_params, read_records
 
 # reduced geometry + short runs keep each stage well under a second
 _INI = """\
@@ -148,6 +149,19 @@ def test_train_epoch_override_and_missing_data(ws, capsys):
     assert len((ws / "run_e1" / "loss.csv").read_text().splitlines()) == 2
     assert _run("train", "--config", "cfg.ini", "--data", "nope.chds", "--out", "r") == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_train_at_f64_precision(ws):
+    # f64 trains in float64 and unclipped unless clip_norm is set, but the checkpoint's
+    # records stay float32, so what the next command loads is rounded (README, Reproducibility)
+    _gen(ws, "a.chds")
+    assert _run("train", "--config", "cfg.ini", "--data", "a.chds", "--precision", "f64", "--out", "run") == 0
+    assert "precision = f64\n" in (ws / "run" / "provenance.txt").read_text()
+    assert "clip_norm = none\n" in (ws / "run" / "config.ini").read_text()
+    path = str(ws / "run" / "checkpoint.dasr")
+    assert {a.dtype for _, a in read_records(path, DASR_MAGIC)} == {np.dtype(np.float32)}
+    params = load_params(path)
+    assert all(params[n].data.dtype == np.float64 and np.isfinite(params[n].data).all() for n in params.names())
 
 
 def test_train_on_non_finite_dataset_is_data_error(ws, capsys):

@@ -8,7 +8,7 @@ import pytest
 from chansr import kernels
 from chansr.model import PARAM_SPECS, UPSAMPLE_STRIDE
 
-from oracles import conv2d_oracle, deconv2d_adjoint_oracle, deconv2d_oracle, im2col_oracle
+from oracles import conv2d_oracle, deconv2d_adjoint_oracle, deconv2d_oracle, im2col_oracle, windows_oracle
 
 
 def _rand_conv_case(rng, dtype=np.float32):
@@ -160,17 +160,49 @@ def test_model_layer_shapes_match_oracles():
 
 
 def test_subpixel_deconv_equals_general_strided_path():
-    # at stride == kernel the upsampler reshapes instead of scattering and gathering;
-    # both must give the same bits, since the GEMMs around them are shared
+    # at stride == kernel the upsampler's forward lays the tiles side by side instead of
+    # scatter-adding them; both must give the same bits, since the GEMM before them is shared
     rng = np.random.default_rng(14)
     for dtype in (np.float32, np.float64):
         x = rng.standard_normal((3, 32, 15, 6)).astype(dtype)
         w = rng.standard_normal((32, 2) + UPSAMPLE_STRIDE).astype(dtype)
         t = np.tensordot(x, w, axes=([1], [0]))
-        assert np.array_equal(kernels._subpixel_shuffle(t), kernels._strided_scatter(t, UPSAMPLE_STRIDE))
-        dy = rng.standard_normal((3, 2, 135, 30)).astype(dtype)
-        assert np.array_equal(kernels._subpixel_unshuffle(dy, 15, 6, *UPSAMPLE_STRIDE),
-                              kernels._strided_gather(dy, 15, 6, *UPSAMPLE_STRIDE, UPSAMPLE_STRIDE))
+        assert np.array_equal(kernels._subpixel_shuffle(t), kernels._scatter_add(t, UPSAMPLE_STRIDE))
+
+
+def test_windows_match_loop_oracle_bit_for_bit():
+    # the gather is a pure copy: the upsampler's dy windows at stride (9, 5) at batch 1, 3 and
+    # 128, and random sources, strides and kernels (windows overlapping, tiling or leaving gaps)
+    rng = np.random.default_rng(16)
+    kh, kw = UPSAMPLE_STRIDE
+    for batch, dtype in itertools.product((1, 3, 128), (np.float32, np.float64)):
+        dy = rng.standard_normal((batch, 2, 14 * kh + kh, 5 * kw + kw)).astype(dtype)
+        got = kernels._windows(dy, 15, 6, kh, kw, UPSAMPLE_STRIDE)
+        assert got.dtype == dtype and got.flags.c_contiguous, batch
+        assert np.array_equal(got, windows_oracle(dy, 15, 6, kh, kw, UPSAMPLE_STRIDE)), (batch, dtype)
+    for _ in range(30):
+        B, C, h, wd = (int(v) for v in rng.integers(1, 5, size=4))
+        kh, kw, sH, sW = (int(v) for v in rng.integers(1, 6, size=4))
+        src = rng.standard_normal((B, C, (h - 1) * sH + kh + int(rng.integers(0, 3)),
+                                   (wd - 1) * sW + kw + int(rng.integers(0, 3))))
+        got = kernels._windows(src, h, wd, kh, kw, (sH, sW))
+        assert np.array_equal(got, windows_oracle(src, h, wd, kh, kw, (sH, sW))), (src.shape, kh, kw, sH, sW)
+
+
+def test_deconv2d_backward_rejects_a_wrongly_shaped_output_gradient():
+    # the window gather does not bounds-check its offsets, so a dy of the wrong shape must be
+    # refused before it is read: at the upsampler's stride and at a general one
+    rng = np.random.default_rng(17)
+    cases = [((1, 32, 15, 6), (32, 2) + UPSAMPLE_STRIDE, UPSAMPLE_STRIDE, (135, 30)),
+             ((2, 3, 4, 5), (3, 2, 3, 3), (2, 2), (9, 11))]
+    for x_shape, w_shape, stride, (Ho, Wo) in cases:
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        w = rng.standard_normal(w_shape).astype(np.float32)
+        B, Co = x_shape[0], w_shape[1]
+        kernels.deconv2d_backward(x, w, np.zeros((B, Co, Ho, Wo), np.float32), stride)
+        for bad in [(B, Co, Ho - 5, Wo), (B, Co, Ho, Wo + 1), (B, Co + 1, Ho, Wo), (B + 1, Co, Ho, Wo)]:
+            with pytest.raises(ValueError, match="output gradient shape"):
+                kernels.deconv2d_backward(x, w, np.zeros(bad, np.float32), stride)
 
 
 def test_im2col_matches_window_oracle_bit_for_bit():
@@ -188,13 +220,13 @@ def test_im2col_matches_window_oracle_bit_for_bit():
 
 
 def test_im2col_index_cache_is_read_only_and_bounded():
-    idx = kernels._gather_index(2, 15, 6, 3, 3)
+    idx = kernels._gather_index(2, 17, 8, 15, 6, 3, 3, 1, 1)
     assert not idx.flags.writeable
     with pytest.raises(ValueError):
         idx[0, 0] = 0
-    assert kernels._gather_index(2, 15, 6, 3, 3) is idx
+    assert kernels._gather_index(2, 17, 8, 15, 6, 3, 3, 1, 1) is idx
     limit = kernels._gather_index.cache_info().maxsize
     assert limit is not None
     for h in range(1, limit + 5):
-        kernels._gather_index(1, h, 1, 3, 3)
+        kernels._gather_index(1, h + 2, 3, h, 1, 3, 3, 1, 1)
     assert kernels._gather_index.cache_info().currsize <= limit
