@@ -12,12 +12,10 @@ Run from the repository root:  python3 scripts/grid_search_lambda.py
 import argparse
 import time
 
-import numpy as np
-
 from chansr.channel import OfdmConfig, PilotPattern, load_tdl_profile
 from chansr.dataset import DOMAIN_TRAIN, DOMAIN_VAL, concat_datasets, generate_dataset
 from chansr.evaluate import model_estimator, nmse, to_db
-from chansr.model import init_params
+from chansr.model import init_params, init_rng
 from chansr.training import (TrainConfig, estimate_fisher, train_task, train_task_cl,
                              train_multitask)
 
@@ -55,8 +53,7 @@ def main():
                                     val["task2"].subset(range(half))])
     print(f"datasets ready ({time.time() - t0:.0f}s)")
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(0x696E6974,)))
-    base = init_params(rng)
+    base = init_params(init_rng(args.seed))
     post1 = base.copy()
     train_task(post1, train_a, TrainConfig(**tc))
     fisher = estimate_fisher(post1, train_a, TrainConfig(**tc), task="tdl-a")

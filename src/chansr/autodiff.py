@@ -28,19 +28,13 @@ _grad_enabled = True
 _check_finite = False
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the dtype for newly created tensors: 'f32'/'f64' or a numpy dtype."""
+def set_default_dtype(name: str) -> None:
+    """Set the dtype for newly created tensors: 'f32' or 'f64'."""
     global _default_dtype
     named = {"f32": np.float32, "f64": np.float64}
-    if isinstance(dtype, str):
-        if dtype not in named:
-            raise ValueError(f"unknown dtype {dtype!r}, expected 'f32' or 'f64'")
-        _default_dtype = named[dtype]
-        return
-    dtype = np.dtype(dtype).type
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("default dtype must be float32 or float64")
-    _default_dtype = dtype
+    if name not in named:
+        raise ValueError(f"unknown dtype {name!r}, expected 'f32' or 'f64'")
+    _default_dtype = named[name]
 
 
 def default_dtype():

@@ -5,11 +5,14 @@ report-forgetting. Global flags: --config, --seed, --out, --force,
 --precision {f32,f64}, --check. Exit codes: 0 success, 1 usage error,
 2 data error (missing/corrupt files), 3 numerical failure.
 
-Every run directory receives the resolved config echo (config.ini) and a
-provenance file (seed, precision, git describe, argv, numpy version, BLAS name
-and version, the *_NUM_THREADS environment variables, os.cpu_count()). A
-rerun with the same config and seed reproduces the outputs bit-for-bit on the
-same numpy/BLAS build at the same BLAS thread count. Output files carry no
+Each command resolves its settings once (`config.load_config`): defaults,
+then the --config file, then the flags whose argparse dest is a RunConfig
+field. Every run directory receives that resolved config (config.ini), which
+reruns the run when passed back through --config, and a provenance file
+(seed, precision, git describe, argv, numpy version, BLAS name and version,
+the *_NUM_THREADS environment variables, os.cpu_count()). A rerun with the
+same config and seed reproduces the outputs bit-for-bit on the same
+numpy/BLAS build at the same BLAS thread count. Output files carry no
 timestamps; only default directory names do.
 """
 
@@ -18,20 +21,19 @@ import datetime
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_floats
 from .dataset import (DOMAIN_TEST, DOMAIN_TRAIN, DOMAIN_VAL, concat_datasets, generate_dataset,
                       load_dataset, save_dataset)
 from .evaluate import forgetting_report, ls_bilinear_estimator, model_estimator, sweep, write_report_csv
 from .fio import atomic_write_text
-from .model import init_params, load_params, save_params
+from .model import init_params, init_rng, load_params, save_params
 from .training import (estimate_fisher, load_fisher, save_fisher, train_multitask, train_task,
                        train_task_cl, write_loss_csv)
-
-_INIT_TAG = 0x696E6974  # parameter-init stream tag ("init")
 
 _DOMAINS = {"train": DOMAIN_TRAIN, "val": DOMAIN_VAL, "test": DOMAIN_TEST}
 
@@ -127,14 +129,23 @@ def _add_train_overrides(p: argparse.ArgumentParser) -> None:
 
 
 def _setup(args) -> RunConfig:
+    # a flag sets the RunConfig field its argparse dest names
+    over = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    if over["snr_list"] is not None:
+        try:
+            over["snr_list"] = parse_floats(over["snr_list"]) or None  # an empty list keeps the configured one
+        except ValueError as e:
+            raise UsageError(f"bad --snr-list: {e}") from e
+    if args.command == "eval" and args.mc is not None:
+        # eval's --mc counts trials over all profiles; the setting counts them per profile
+        n = len(args.profile)
+        if args.mc < 1 or args.mc % n:
+            raise DataError(f"M_c = {args.mc} must be a positive multiple of the profile count {n}")
+        over["mc"] = args.mc // n
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, **over)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    if args.seed is not None:
-        cfg.set_value("seed", args.seed)
-    if args.precision:
-        cfg.set_value("precision", args.precision)
     ad.set_default_dtype(cfg.precision)
     ad.set_check_finite(args.check)
     return cfg
@@ -199,22 +210,6 @@ def _load_params(path: str):
         raise DataError(f"cannot load checkpoint {path}: {e}") from e
 
 
-def _init_rng(cfg: RunConfig) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_INIT_TAG,)))
-
-
-def _train_cfg(cfg: RunConfig, args):
-    over = {}
-    for name in ("epochs", "batch_size", "lr", "lam", "alpha"):
-        v = getattr(args, name, None)
-        if v is not None:
-            over[name] = v
-    try:
-        return cfg.train_config(**over)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
-
-
 def cmd_gen(args, cfg: RunConfig, argv) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
@@ -240,8 +235,8 @@ def _finish_training(run_dir, params, trace, cfg, argv) -> None:
 
 def cmd_train(args, cfg: RunConfig, argv) -> int:
     ds = _load_dataset(args.data)
-    tc = _train_cfg(cfg, args)
-    params = init_params(_init_rng(cfg))
+    tc = cfg.train_config()
+    params = init_params(init_rng(cfg.seed))
     run_dir = _run_dir(args, "train")
     trace = train_task(params, ds, tc)
     _finish_training(run_dir, params, trace, cfg, argv)
@@ -253,7 +248,7 @@ def cmd_train(args, cfg: RunConfig, argv) -> int:
 def cmd_fisher(args, cfg: RunConfig, argv) -> int:
     ds = _load_dataset(args.data)
     params = _load_params(args.checkpoint)
-    tc = _train_cfg(cfg, args)
+    tc = cfg.train_config()
     fd = estimate_fisher(params, ds, tc, task=args.task_label)
     run_dir = _run_dir(args, "fisher")
     save_fisher(fd, os.path.join(run_dir, "fisher.fish"))
@@ -272,7 +267,7 @@ def cmd_train_cl(args, cfg: RunConfig, argv) -> int:
         fd = load_fisher(args.fisher)
     except (OSError, ValueError) as e:
         raise DataError(f"cannot load Fisher file {args.fisher}: {e}") from e
-    tc = _train_cfg(cfg, args)
+    tc = cfg.train_config()
     run_dir = _run_dir(args, "train-cl")
     trace = train_task_cl(params, ds, fd, tc)
     _finish_training(run_dir, params, trace, cfg, argv)
@@ -286,22 +281,13 @@ def cmd_train_multitask(args, cfg: RunConfig, argv) -> int:
         union = concat_datasets(parts)
     except ValueError as e:
         raise DataError(str(e)) from e
-    tc = _train_cfg(cfg, args)
-    params = init_params(_init_rng(cfg))
+    tc = cfg.train_config()
+    params = init_params(init_rng(cfg.seed))
     run_dir = _run_dir(args, "train-multitask")
     trace = train_multitask(params, union, tc)
     _finish_training(run_dir, params, trace, cfg, argv)
     print(f"multi-task training on {len(union)} samples; run dir {run_dir}")
     return 0
-
-
-def _parse_snr_list(args, cfg: RunConfig):
-    if getattr(args, "snr_list", None):
-        try:
-            return tuple(float(v) for v in args.snr_list.replace(",", " ").split())
-        except ValueError as e:
-            raise UsageError(f"bad --snr-list: {e}") from e
-    return cfg.snr_list
 
 
 def _estimator_for(args, cfg: RunConfig):
@@ -319,15 +305,11 @@ def cmd_eval(args, cfg: RunConfig, argv) -> int:
         profiles = [cfg.profile(p) for p in args.profile]
     except ValueError as e:
         raise DataError(str(e)) from e
-    snr_list = _parse_snr_list(args, cfg)
-    mc = args.mc if args.mc is not None else cfg.mc * len(profiles)
     try:
-        report = sweep(estimator, args.scheme, profiles, snr_list, mc, cfg.seed,
+        report = sweep(estimator, args.scheme, profiles, cfg.snr_list, cfg.mc * len(profiles), cfg.seed,
                        cfg.ofdm(), cfg.pattern())
     except ValueError as e:
         raise DataError(str(e)) from e
-    except FloatingPointError as e:
-        raise NumericalError(str(e)) from e
     if args.check:
         bad = [v for v in report.nmse_linear if not (np.isfinite(v) and v >= 0)]
         if bad:
@@ -335,7 +317,7 @@ def cmd_eval(args, cfg: RunConfig, argv) -> int:
     run_dir = _run_dir(args, "eval")
     write_report_csv(os.path.join(run_dir, "report.csv"), list(report.rows()))
     _write_provenance(run_dir, cfg, argv)
-    print(f"evaluated {args.scheme} at {len(snr_list)} SNR points (M_c {report.mc}); run dir {run_dir}")
+    print(f"evaluated {args.scheme} at {len(cfg.snr_list)} SNR points (M_c {report.mc}); run dir {run_dir}")
     return 0
 
 
@@ -346,14 +328,11 @@ def cmd_report_forgetting(args, cfg: RunConfig, argv) -> int:
         "cl": model_estimator(_load_params(args.cl), cfg.ofdm()),
         "multitask": model_estimator(_load_params(args.multitask), cfg.ofdm()),
     }
-    mc = args.mc if args.mc is not None else cfg.mc
     try:
         rows = forgetting_report(schemes, cfg.profile(cfg.profile_1), cfg.profile(cfg.profile_2),
-                                 cfg.snr_list, mc, cfg.seed, cfg.ofdm(), cfg.pattern())
+                                 cfg.snr_list, cfg.mc, cfg.seed, cfg.ofdm(), cfg.pattern())
     except ValueError as e:
         raise DataError(str(e)) from e
-    except FloatingPointError as e:
-        raise NumericalError(str(e)) from e
     run_dir = _run_dir(args, "forgetting")
     write_report_csv(os.path.join(run_dir, "forgetting.csv"), rows)
     _write_provenance(run_dir, cfg, argv)

@@ -1,15 +1,17 @@
-"""Run configuration: flat INI-style `key = value` file plus flag overrides.
+"""Run configuration: defaults, overlaid by a flat INI-style `key = value` file, overlaid by flags.
 
 Every numeric default matches the reference experiment (128x28 grid, pilot
 intervals 9 and 5, 2 GHz carrier, 15 kHz spacing, 100 ns delay spread,
-50 km/h, SNR sweep 0..15 dB, Adam at 1e-3 with batch 128). The resolved
-configuration can be echoed back out as INI text so every run directory
-records exactly what it ran with.
+50 km/h, SNR sweep 0..15 dB, Adam at 1e-3 with batch 128). `load_config`
+resolves all three layers into one `RunConfig` of final values, derived ones
+included, and `echo` writes it back out as INI text with round-trip floats, so
+the `config.ini` in every run directory records exactly what the run used and,
+passed back through `--config`, reruns it.
 """
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channel import OfdmConfig, PilotPattern, TdlProfile, doppler_from_speed, load_tdl_profile
 from .training import DEFAULT_EWC_LAMBDA, TrainConfig
@@ -42,6 +44,9 @@ _SCHEMA = {
     ("run", "precision"): ("precision", str),
 }
 
+# the only keys that may be `none`/`off`: derive the value, or train unclipped
+_OPTIONAL = ("symbol_duration", "doppler_hz", "clip_norm")
+
 
 @dataclass
 class RunConfig:
@@ -63,113 +68,96 @@ class RunConfig:
     lr: float = 1e-3
     lam: float = DEFAULT_EWC_LAMBDA
     alpha: float = 1.0
-    clip_norm: float | None = 10.0
+    clip_norm: float | None = 10.0  # None or <= 0: unclipped
     train_snr_db: float = 10.0
     snr_list: tuple = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0)
-    mc: int = 500
+    mc: int = 500  # trials per profile
     seed: int = 0
     precision: str = "f32"
-    explicit: set = field(default_factory=set)  # keys set by file or flag
 
-    def set_value(self, name: str, value) -> None:
-        setattr(self, name, value)
-        self.explicit.add(name)
-
-    @property
-    def resolved_symbol_duration(self) -> float:
-        if self.symbol_duration is not None:
-            return self.symbol_duration
-        return (1.0 + self.cp_fraction) / self.delta_f
-
-    @property
-    def resolved_doppler(self) -> float:
-        if self.doppler_hz is not None:
-            return self.doppler_hz
-        return doppler_from_speed(self.speed_kmh, self.f_c)
-
-    @property
-    def resolved_clip(self) -> float | None:
-        # verification (f64) builds run unclipped unless the user pinned a value
-        if self.precision == "f64" and "clip_norm" not in self.explicit:
-            return None
+    def __post_init__(self):
+        if self.symbol_duration is None:
+            self.symbol_duration = (1.0 + self.cp_fraction) / self.delta_f
+        if self.doppler_hz is None:
+            self.doppler_hz = doppler_from_speed(self.speed_kmh, self.f_c)
         if self.clip_norm is not None and self.clip_norm <= 0:
-            return None
-        return self.clip_norm
+            self.clip_norm = None
+        self.train_config()  # refuse training values no run can use
 
     def ofdm(self) -> OfdmConfig:
         return OfdmConfig(n_f=self.n_f, n_t=self.n_t, delta_f=self.delta_f, f_c=self.f_c,
-                          symbol_duration=self.resolved_symbol_duration)
+                          symbol_duration=self.symbol_duration)
 
     def pattern(self) -> PilotPattern:
         return PilotPattern.from_intervals(self.ofdm(), self.freq_interval, self.time_interval)
 
     def profile(self, name_or_path: str) -> TdlProfile:
-        return load_tdl_profile(name_or_path, ds=self.delay_spread, f_d=self.resolved_doppler)
+        return load_tdl_profile(name_or_path, ds=self.delay_spread, f_d=self.doppler_hz)
 
-    def train_config(self, **overrides) -> TrainConfig:
-        kw = dict(batch_size=self.batch_size, epochs=self.epochs, lr=self.lr, lam=self.lam,
-                  alpha=self.alpha, seed=self.seed, clip_norm=self.resolved_clip)
-        kw.update(overrides)
-        return TrainConfig(**kw)
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(batch_size=self.batch_size, epochs=self.epochs, lr=self.lr, lam=self.lam,
+                           alpha=self.alpha, seed=self.seed, clip_norm=self.clip_norm)
 
     def echo(self) -> str:
-        """Resolved configuration as canonical INI text."""
+        """The configuration as canonical INI text that `load_config` reads back to an equal one."""
         parser = configparser.ConfigParser()
         for (section, key), (name, kind) in _SCHEMA.items():
             if not parser.has_section(section):
                 parser.add_section(section)
             value = getattr(self, name)
-            if name == "symbol_duration":
-                value = self.resolved_symbol_duration
-            elif name == "doppler_hz":
-                value = self.resolved_doppler
-            elif name == "clip_norm":
-                value = self.resolved_clip
+            # str of a float is its shortest round-trip form, so the file reads back to the same bits
             if kind == "floats":
-                text = ",".join(f"{v:g}" for v in value)
-            elif value is None:
-                text = "none"
+                text = ",".join(str(float(v)) for v in value)
             else:
-                text = f"{value:.12g}" if isinstance(value, float) else str(value)
+                text = "none" if value is None else str(value)
             parser.set(section, key, text)
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
 
 
-def _parse_value(kind, text: str):
+def parse_floats(text: str) -> tuple:
+    """A comma- or space-separated float list, the form of `snr_list`."""
+    return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+def _parse_value(name: str, kind, text: str):
     text = text.strip()
+    if name in _OPTIONAL and text.lower() in ("none", "off"):
+        return None
     if kind == "floats":
-        return tuple(float(v) for v in text.replace(",", " ").split())
-    if kind is float:
-        if text.lower() in ("none", "off"):
-            return None
-        return float(text)
-    if kind is int:
-        return int(text)
+        return parse_floats(text)
+    if kind in (int, float):
+        return kind(text)
     return text
 
 
-def load_config(path: str | None = None) -> RunConfig:
-    """Defaults, overlaid with the INI file when given."""
-    cfg = RunConfig()
-    if path is None:
-        return cfg
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (OSError, configparser.Error) as e:
-        raise ValueError(f"cannot read config {path}: {e}") from e
-    for section in parser.sections():
-        for key in parser[section]:
-            if (section, key) not in _SCHEMA:
-                raise ValueError(f"{path}: unknown config key [{section}] {key}")
-            name, kind = _SCHEMA[(section, key)]
-            try:
-                cfg.set_value(name, _parse_value(kind, parser[section][key]))
-            except ValueError as e:
-                raise ValueError(f"{path}: bad value for [{section}] {key}: {e}") from e
-    if cfg.precision not in ("f32", "f64"):
-        raise ValueError(f"{path}: precision must be f32 or f64")
-    return cfg
+def load_config(path: str | None = None, **overrides) -> RunConfig:
+    """Defaults, overlaid by the INI file when given, overlaid by the overrides that are not None.
+
+    Override names are `RunConfig` field names. An f64 run trains unclipped
+    unless the file or an override sets `clip_norm`.
+    """
+    values = {}
+    if path is not None:
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except (OSError, configparser.Error) as e:
+            raise ValueError(f"cannot read config {path}: {e}") from e
+        for section in parser.sections():
+            for key in parser[section]:
+                if (section, key) not in _SCHEMA:
+                    raise ValueError(f"{path}: unknown config key [{section}] {key}")
+                name, kind = _SCHEMA[(section, key)]
+                try:
+                    values[name] = _parse_value(name, kind, parser[section][key])
+                except ValueError as e:
+                    raise ValueError(f"{path}: bad value for [{section}] {key}: {e}") from e
+        if values.get("precision", "f32") not in ("f32", "f64"):
+            raise ValueError(f"{path}: precision must be f32 or f64")
+    values.update((name, value) for name, value in overrides.items() if value is not None)
+    if values.get("precision") == "f64" and "clip_norm" not in values:
+        values["clip_norm"] = None
+    return RunConfig(**values)

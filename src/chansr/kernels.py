@@ -154,6 +154,9 @@ def conv2d_backward(x, w, dy, need_dx=True):
     _check_conv_args(x, w, None)
     B, Ci, H, W = x.shape
     Co, kh, kw = w.shape[0], w.shape[2], w.shape[3]
+    if dy.shape != (B, Co, H, W):
+        # a dy of the right size but another shape would reshape into a wrongly ordered dx
+        raise ValueError(f"conv2d output gradient shape {dy.shape} != {(B, Co, H, W)}")
     dym = dy.transpose(1, 0, 2, 3).reshape(Co, B * H * W)
     cols = _im2col(x, kh, kw)
     if Co == 1:

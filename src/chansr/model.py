@@ -22,6 +22,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .fio import atomic_write_bytes
 
+_INIT_TAG = 0x696E6974  # parameter-init stream tag ("init")
+
 # (name, shape); weights precede their biases, stage order is fixed
 PARAM_SPECS = (
     ("ca_conv1_w", (16, 2, 3, 3)),
@@ -80,6 +82,11 @@ class ModelParams:
 
     def count(self) -> int:
         return sum(t.data.size for t in self.tensors())
+
+
+def init_rng(seed: int) -> np.random.Generator:
+    """The parameter-init stream of a run seed, apart from its data and shuffle streams."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_INIT_TAG,)))
 
 
 def init_params(rng: np.random.Generator) -> ModelParams:

@@ -292,6 +292,57 @@ def test_seed_flag_overrides_config(ws):
     assert (ws / "s5.chds").read_bytes() != (ws / "s6.chds").read_bytes()
 
 
+@pytest.mark.parametrize("section, key, text", [("train", "lr", "none"), ("ofdm", "delta_f", "off"),
+                                                ("channel", "speed_kmh", "none"), ("run", "seed", "none"),
+                                                ("eval", "snr_list", "off")])
+def test_none_outside_the_optional_keys_is_a_usage_error(ws, capsys, section, key, text):
+    # only symbol_duration, doppler_hz and clip_norm may be none/off
+    (ws / "none.ini").write_text(f"[{section}]\n{key} = {text}\n")
+    rc = _run("gen", "--config", "none.ini", "--profile", "tdl-a", "--snr", "10", "--n", "2", "--out", "x.chds")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and f"[{section}] {key}" in err
+    assert not (ws / "x.chds").exists()
+
+
+def test_config_ini_records_the_flags_and_reruns_the_run(ws):
+    # default geometry: at n = 64 a symbol duration or Doppler echoed short of its bits moves
+    # some samples, so the rerun below compares the whole resolved configuration
+    gen = ("gen", "--profile", "tdl-a", "--snr", "10", "--n", "64")
+    assert _run(*gen, "--seed", "3", "--out", "a.chds") == 0
+    assert _run("train", "--data", "a.chds", "--seed", "3", "--epochs", "1", "--batch-size", "32",
+                "--lr", "0.01", "--out", "run1") == 0
+    echo = (ws / "run1" / "config.ini").read_text()
+    for line in ("epochs = 1\n", "batch_size = 32\n", "lr = 0.01\n", "seed = 3\n",
+                 "symbol_duration = 7.133333333333334e-05\n"):
+        assert line in echo, line
+    # eval's --mc counts trials over both profiles; the file key counts them per profile
+    assert _run("eval", "--config", "cfg.ini", "--scheme", "ls", "--profile", "tdl-a", "tdl-d",
+                "--snr-list", "3,4", "--mc", "4", "--out", "ev") == 0
+    echo = (ws / "ev" / "config.ini").read_text()
+    assert "snr_list = 3.0,4.0\n" in echo and "mc = 2\n" in echo
+    rows = (ws / "ev" / "report.csv").read_text().splitlines()
+    assert [r.split(",")[5] for r in rows[1:]] == ["4", "4"]
+    assert _run("eval", "--config", "cfg.ini", "--scheme", "ls", "--profile", "tdl-a",
+                "--snr-list", "", "--out", "ev0") == 0
+    assert "snr_list = 0.0,10.0\n" in (ws / "ev0" / "config.ini").read_text()
+
+    # the run's own config.ini gives the same dataset and the same checkpoint
+    assert _run(*gen, "--config", "run1/config.ini", "--out", "b.chds") == 0
+    assert (ws / "a.chds").read_bytes() == (ws / "b.chds").read_bytes()
+    assert _run("train", "--config", "run1/config.ini", "--data", "b.chds", "--out", "run2") == 0
+    for f in ("checkpoint.dasr", "loss.csv", "config.ini"):
+        assert (ws / "run1" / f).read_bytes() == (ws / "run2" / f).read_bytes(), f
+
+
+def test_eval_mc_must_be_a_multiple_of_the_profile_count(ws, capsys):
+    rc = _run("eval", "--config", "cfg.ini", "--scheme", "ls", "--profile", "tdl-a", "tdl-d",
+              "--mc", "3", "--out", "ev")
+    assert rc == 2
+    assert "M_c = 3 must be a positive multiple of the profile count 2" in capsys.readouterr().err
+    assert not (ws / "ev").exists()
+
+
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "chansr.cli", "--help"],
                          capture_output=True, text=True, timeout=60, env=_child_env())

@@ -1,0 +1,96 @@
+"""Run configuration: one loader for defaults, file and flags; an echo that reads back equal."""
+
+import pytest
+
+from chansr.channel import doppler_from_speed
+from chansr.config import RunConfig, load_config
+
+
+def _reload(tmp_path, cfg: RunConfig) -> RunConfig:
+    path = tmp_path / "echo.ini"
+    path.write_text(cfg.echo())
+    return load_config(str(path))
+
+
+def _write(tmp_path, text: str) -> str:
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    return str(path)
+
+
+def test_bare_config_has_the_reference_values():
+    cfg = RunConfig()
+    assert (cfg.n_f, cfg.n_t, cfg.batch_size, cfg.mc, cfg.precision) == (128, 28, 128, 500, "f32")
+    assert cfg.symbol_duration == (1.0 + 0.07) / 15e3
+    assert cfg.doppler_hz == doppler_from_speed(50.0, 2e9)
+    assert cfg.clip_norm == 10.0
+    assert cfg.ofdm().symbol_duration == cfg.symbol_duration
+    assert load_config() == cfg
+
+
+@pytest.mark.parametrize("text, over", [
+    ("", {}),
+    ("[ofdm]\nn_f = 27\ndelta_f = 30e3\ncp_fraction = 0.1\n[channel]\nspeed_kmh = 3\n"
+     "[eval]\nsnr_list = 0 2.5, 7\n[run]\nseed = 9\n", {}),
+    ("", dict(seed=4, epochs=3, batch_size=8, lr=1 / 3, lam=0.1, alpha=0.7, snr_list=(1 / 3, 5.0), mc=7)),
+    ("[train]\nclip_norm = 2.5\n", dict(precision="f64")),
+    ("", dict(precision="f64")),
+])
+def test_echo_reads_back_to_an_equal_config(tmp_path, text, over):
+    cfg = load_config(_write(tmp_path, text), **over)
+    back = _reload(tmp_path, cfg)
+    assert back == cfg
+    assert back.echo() == cfg.echo()
+
+
+def test_file_and_flags_overlay_the_defaults_in_order(tmp_path):
+    path = _write(tmp_path, "[train]\nepochs = 5\nlr = 0.01\n[channel]\ndoppler_hz = 7.5\n")
+    cfg = load_config(path, epochs=2, lr=None)
+    assert (cfg.epochs, cfg.lr, cfg.batch_size) == (2, 0.01, 128)
+    assert cfg.doppler_hz == 7.5  # given, so not derived from the speed
+    assert cfg.profile("tdl-a").f_d == 7.5
+
+
+def test_derived_values_follow_the_file(tmp_path):
+    cfg = load_config(_write(tmp_path, "[ofdm]\ndelta_f = 30e3\nsymbol_duration = none\n"
+                                       "[channel]\nspeed_kmh = 3\ndoppler_hz = off\n"))
+    assert cfg.symbol_duration == (1.0 + 0.07) / 30e3
+    assert cfg.doppler_hz == doppler_from_speed(3.0, 2e9)
+
+
+def test_unknown_key_and_bad_values(tmp_path):
+    with pytest.raises(ValueError, match=r"unknown config key \[ofdm\] mystery"):
+        load_config(_write(tmp_path, "[ofdm]\nmystery = 1\n"))
+    with pytest.raises(ValueError, match=r"bad value for \[ofdm\] n_f"):
+        load_config(_write(tmp_path, "[ofdm]\nn_f = 2.5\n"))
+    with pytest.raises(ValueError, match=r"bad value for \[eval\] snr_list"):
+        load_config(_write(tmp_path, "[eval]\nsnr_list = 0, x\n"))
+    with pytest.raises(ValueError, match="cannot read config"):
+        load_config(str(tmp_path / "missing.ini"))
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        load_config(batch_size=0)
+
+
+def test_precision_must_be_f32_or_f64(tmp_path):
+    with pytest.raises(ValueError, match="precision must be f32 or f64"):
+        load_config(_write(tmp_path, "[run]\nprecision = f16\n"))
+    assert load_config(_write(tmp_path, "[run]\nprecision = f64\n")).precision == "f64"
+
+
+@pytest.mark.parametrize("text", ["0", "-1", "none", "off"])
+def test_clip_norm_at_or_below_zero_means_unclipped(tmp_path, text):
+    cfg = load_config(_write(tmp_path, f"[train]\nclip_norm = {text}\n"))
+    assert cfg.clip_norm is None and cfg.train_config().clip_norm is None
+    assert "clip_norm = none\n" in cfg.echo()
+    assert RunConfig(clip_norm=-2.0).clip_norm is None
+
+
+def test_f64_trains_unclipped_unless_clip_norm_is_given(tmp_path):
+    assert load_config(precision="f64").clip_norm is None
+    assert load_config(_write(tmp_path, "[run]\nprecision = f64\n")).clip_norm is None
+    assert load_config(precision="f32").clip_norm == 10.0
+    given = _write(tmp_path, "[train]\nclip_norm = 10\n")
+    assert load_config(given, precision="f64").clip_norm == 10.0
+    # the rule is the loader's: a config built directly keeps what it is given
+    assert RunConfig(precision="f64").clip_norm == 10.0
+

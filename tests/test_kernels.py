@@ -205,6 +205,20 @@ def test_deconv2d_backward_rejects_a_wrongly_shaped_output_gradient():
                 kernels.deconv2d_backward(x, w, np.zeros(bad, np.float32), stride)
 
 
+def test_conv2d_backward_rejects_a_wrongly_shaped_output_gradient():
+    # a dy of the right size but another spatial shape would reshape into a wrongly ordered dx
+    # (the col2im path, Co >= Ci) or a dx of the wrong shape (the flipped-kernel path, Co < Ci)
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((1, 2, 4, 6)).astype(np.float32)
+    for Co in (3, 1):
+        w = rng.standard_normal((Co, 2, 3, 3)).astype(np.float32)
+        dx, _, _ = kernels.conv2d_backward(x, w, np.ones((1, Co, 4, 6), np.float32))
+        assert dx.shape == x.shape
+        for bad in [(1, Co, 6, 4), (1, Co, 4, 5), (2, Co, 4, 6), (1, Co + 1, 4, 6)]:
+            with pytest.raises(ValueError, match="output gradient shape"):
+                kernels.conv2d_backward(x, w, np.ones(bad, np.float32))
+
+
 def test_im2col_matches_window_oracle_bit_for_bit():
     # the columns are a pure copy, so every (Ci, kernel) the model builds, 1x1 included, at
     # batch 1, 3 and 128 in both dtypes, and a grid that is not the model's, give the same bits

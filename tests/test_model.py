@@ -6,7 +6,7 @@ import pytest
 import chansr.autodiff as ad
 from chansr.autodiff import Tensor
 from chansr.model import (DASR_MAGIC, PARAM_COUNT, PARAM_SPECS, ModelParams,
-                          channel_attention, feature_extract, forward, init_params,
+                          channel_attention, feature_extract, forward, init_params, init_rng,
                           load_params, read_records, save_params, spatial_attention,
                           upsample, write_records)
 
@@ -206,3 +206,10 @@ def test_record_format_duplicate_name_rejected(tmp_path):
     write_records(g, [("task.x", np.zeros(0, np.float32))], b"TEST")
     (name, arr), = read_records(g, b"TEST")
     assert name == "task.x" and arr.size == 0
+
+
+def test_init_rng_is_the_tagged_init_stream():
+    # the stream every training command and the desk protocol draw initial weights from
+    want = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0x696E6974,)))
+    assert np.array_equal(init_rng(7).random(64), want.random(64))
+    assert not np.array_equal(init_rng(7).random(8), np.random.default_rng(7).random(8))
