@@ -11,13 +11,14 @@ Run from the repository root:  python3 scripts/grid_search_lambda.py
 
 import argparse
 import time
+from dataclasses import replace
 
 from chansr.channel import OfdmConfig, PilotPattern, load_tdl_profile
+from chansr.config import RunConfig
 from chansr.dataset import DOMAIN_TRAIN, DOMAIN_VAL, concat_datasets, generate_dataset
 from chansr.evaluate import model_estimator, nmse, to_db
 from chansr.model import init_params, init_rng
-from chansr.training import (TrainConfig, estimate_fisher, train_task, train_task_cl,
-                             train_multitask)
+from chansr.training import estimate_fisher, train_task
 
 
 def _val_nmse(params, cfg, datasets):
@@ -25,7 +26,7 @@ def _val_nmse(params, cfg, datasets):
     return {name: to_db(nmse(ds.h_true, est(ds.h_ls))) for name, ds in datasets.items()}
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--train-n", type=int, default=4000)
     ap.add_argument("--val-n", type=int, default=500)
@@ -33,13 +34,13 @@ def main():
     ap.add_argument("--snr", type=float, default=10.0)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--grid", default="1,10,100,1000,10000")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = OfdmConfig()
     pat = PilotPattern.from_intervals(cfg, 9, 5)
     prof_a = load_tdl_profile("tdl-a")
     prof_d = load_tdl_profile("tdl-d")
-    tc = dict(batch_size=128, epochs=args.epochs, lr=1e-3, seed=args.seed)
+    tc = RunConfig(epochs=args.epochs, seed=args.seed)  # batch 128, Adam at 1e-3
 
     t0 = time.time()
     train_a = generate_dataset(prof_a, cfg, pat, args.snr, args.train_n, args.seed, DOMAIN_TRAIN)
@@ -55,8 +56,8 @@ def main():
 
     base = init_params(init_rng(args.seed))
     post1 = base.copy()
-    train_task(post1, train_a, TrainConfig(**tc))
-    fisher = estimate_fisher(post1, train_a, TrainConfig(**tc), task="tdl-a")
+    train_task(post1, train_a, tc)
+    fisher = estimate_fisher(post1, train_a, tc, task="tdl-a")
     ref1 = _val_nmse(post1, cfg, val)
     print(f"post-task-I   task1 {ref1['task1']:7.2f}  task2 {ref1['task2']:7.2f}  "
           f"mixed {ref1['mixed']:7.2f} dB  ({time.time() - t0:.0f}s)")
@@ -64,14 +65,14 @@ def main():
     rows = []
     for lam in [0.0] + [float(v) for v in args.grid.split(",")]:
         p = post1.copy()
-        train_task_cl(p, train_d, fisher, TrainConfig(lam=lam, **tc))
+        train_task(p, train_d, replace(tc, lam=lam), fisher)
         r = _val_nmse(p, cfg, val)
         rows.append((lam, r))
         print(f"lambda {lam:>8g}  task1 {r['task1']:7.2f}  task2 {r['task2']:7.2f}  "
               f"mixed {r['mixed']:7.2f} dB  ({time.time() - t0:.0f}s)")
 
     multi = base.copy()
-    train_multitask(multi, concat_datasets([train_a, train_d]), TrainConfig(**tc))
+    train_task(multi, concat_datasets([train_a, train_d]), tc)
     rm = _val_nmse(multi, cfg, val)
     print(f"multi-task    task1 {rm['task1']:7.2f}  task2 {rm['task2']:7.2f}  "
           f"mixed {rm['mixed']:7.2f} dB  ({time.time() - t0:.0f}s)")

@@ -10,17 +10,16 @@ __version__ = "0.1.0"
 
 from .channel import (OfdmConfig, PilotPattern, TdlProfile, dft_matrix, generate_channel,
                       interpolate_bilinear, load_tdl_profile, ls_estimate, make_pilot_observation)
+from .config import RunConfig
 from .dataset import ChannelDataset, generate_dataset, load_dataset, save_dataset
 from .evaluate import EvalReport, forgetting_report, nmse, sweep
 from .model import ModelParams, forward, init_params, load_params, save_params
-from .training import (FisherDiag, TrainConfig, estimate_fisher, ewc_loss, train_multitask,
-                       train_task, train_task_cl)
+from .training import FisherDiag, estimate_fisher, ewc_loss, train_task
 
 __all__ = [
-    "OfdmConfig", "PilotPattern", "TdlProfile", "ChannelDataset", "ModelParams", "TrainConfig",
+    "OfdmConfig", "PilotPattern", "TdlProfile", "ChannelDataset", "ModelParams", "RunConfig",
     "FisherDiag", "EvalReport", "load_tdl_profile", "generate_channel", "make_pilot_observation",
     "ls_estimate", "interpolate_bilinear", "dft_matrix", "generate_dataset", "save_dataset",
     "load_dataset", "init_params", "forward", "save_params", "load_params", "train_task",
-    "estimate_fisher", "ewc_loss", "train_task_cl", "train_multitask", "nmse", "sweep",
-    "forgetting_report",
+    "estimate_fisher", "ewc_loss", "nmse", "sweep", "forgetting_report",
 ]

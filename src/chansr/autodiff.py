@@ -220,16 +220,6 @@ def tensor_sum(x: Tensor) -> Tensor:
     return _make(x.data.sum(dtype=x.data.dtype).reshape(()), (x,), _bw)
 
 
-def tensor_mean(x: Tensor) -> Tensor:
-    n = x.data.dtype.type(x.data.size)
-
-    def _bw(gout):
-        if x.requires_grad:
-            _acc(x, np.broadcast_to(gout / n, x.shape))
-
-    return _make((x.data.sum(dtype=x.data.dtype) / n).reshape(()), (x,), _bw)
-
-
 # ---------------------------------------------------------------------------
 # image-shaped ops ([C,H,W] or [B,C,H,W])
 # ---------------------------------------------------------------------------

@@ -32,8 +32,7 @@ from .dataset import (DOMAIN_TEST, DOMAIN_TRAIN, DOMAIN_VAL, concat_datasets, ge
 from .evaluate import forgetting_report, ls_bilinear_estimator, model_estimator, sweep, write_report_csv
 from .fio import atomic_write_text
 from .model import init_params, init_rng, load_params, save_params
-from .training import (estimate_fisher, load_fisher, save_fisher, train_multitask, train_task,
-                       train_task_cl, write_loss_csv)
+from .training import estimate_fisher, load_fisher, save_fisher, train_task, write_loss_csv
 
 _DOMAINS = {"train": DOMAIN_TRAIN, "val": DOMAIN_VAL, "test": DOMAIN_TEST}
 
@@ -235,12 +234,11 @@ def _finish_training(run_dir, params, trace, cfg, argv) -> None:
 
 def cmd_train(args, cfg: RunConfig, argv) -> int:
     ds = _load_dataset(args.data)
-    tc = cfg.train_config()
     params = init_params(init_rng(cfg.seed))
     run_dir = _run_dir(args, "train")
-    trace = train_task(params, ds, tc)
+    trace = train_task(params, ds, cfg)
     _finish_training(run_dir, params, trace, cfg, argv)
-    print(f"trained {tc.epochs} epochs on {len(ds)} samples; final loss {trace[-1]['loss']:.6e}; "
+    print(f"trained {cfg.epochs} epochs on {len(ds)} samples; final loss {trace[-1]['loss']:.6e}; "
           f"run dir {run_dir}")
     return 0
 
@@ -248,8 +246,7 @@ def cmd_train(args, cfg: RunConfig, argv) -> int:
 def cmd_fisher(args, cfg: RunConfig, argv) -> int:
     ds = _load_dataset(args.data)
     params = _load_params(args.checkpoint)
-    tc = cfg.train_config()
-    fd = estimate_fisher(params, ds, tc, task=args.task_label)
+    fd = estimate_fisher(params, ds, cfg, task=args.task_label)
     run_dir = _run_dir(args, "fisher")
     save_fisher(fd, os.path.join(run_dir, "fisher.fish"))
     _write_provenance(run_dir, cfg, argv)
@@ -267,24 +264,22 @@ def cmd_train_cl(args, cfg: RunConfig, argv) -> int:
         fd = load_fisher(args.fisher)
     except (OSError, ValueError) as e:
         raise DataError(f"cannot load Fisher file {args.fisher}: {e}") from e
-    tc = cfg.train_config()
     run_dir = _run_dir(args, "train-cl")
-    trace = train_task_cl(params, ds, fd, tc)
+    trace = train_task(params, ds, cfg, fd)
     _finish_training(run_dir, params, trace, cfg, argv)
-    print(f"sequential training done (lambda {tc.lam:g}, alpha {tc.alpha:g}); run dir {run_dir}")
+    print(f"sequential training done (lambda {cfg.lam:g}, alpha {cfg.alpha:g}); run dir {run_dir}")
     return 0
 
 
-def cmd_train_multitask(args, cfg: RunConfig, argv) -> int:
+def cmd_multitask(args, cfg: RunConfig, argv) -> int:
     parts = [_load_dataset(p) for p in args.data]
     try:
         union = concat_datasets(parts)
     except ValueError as e:
         raise DataError(str(e)) from e
-    tc = cfg.train_config()
     params = init_params(init_rng(cfg.seed))
     run_dir = _run_dir(args, "train-multitask")
-    trace = train_multitask(params, union, tc)
+    trace = train_task(params, union, cfg)
     _finish_training(run_dir, params, trace, cfg, argv)
     print(f"multi-task training on {len(union)} samples; run dir {run_dir}")
     return 0
@@ -345,7 +340,7 @@ _COMMANDS = {
     "train": cmd_train,
     "fisher": cmd_fisher,
     "train-cl": cmd_train_cl,
-    "train-multitask": cmd_train_multitask,
+    "train-multitask": cmd_multitask,
     "eval": cmd_eval,
     "report-forgetting": cmd_report_forgetting,
 }

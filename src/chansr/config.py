@@ -2,10 +2,12 @@
 
 Every numeric default matches the reference experiment (128x28 grid, pilot
 intervals 9 and 5, 2 GHz carrier, 15 kHz spacing, 100 ns delay spread,
-50 km/h, SNR sweep 0..15 dB, Adam at 1e-3 with batch 128). `load_config`
-resolves all three layers into one `RunConfig` of final values, derived ones
-included, and `echo` writes it back out as INI text with round-trip floats, so
-the `config.ini` in every run directory records exactly what the run used and,
+50 km/h, SNR sweep 0..15 dB, Adam at 1e-3 with batch 128). These are the only
+defaults: training and Fisher estimation read their settings from the run's
+`RunConfig`, which refuses values no run can use. `load_config` resolves all
+three layers into one `RunConfig` of final values, derived ones included, and
+`echo` writes it back out as INI text with round-trip floats, so the
+`config.ini` in every run directory records exactly what the run used and,
 passed back through `--config`, reruns it.
 """
 
@@ -14,7 +16,7 @@ import io
 from dataclasses import dataclass
 
 from .channel import OfdmConfig, PilotPattern, TdlProfile, doppler_from_speed, load_tdl_profile
-from .training import DEFAULT_EWC_LAMBDA, TrainConfig
+from .training import DEFAULT_EWC_LAMBDA
 
 _SCHEMA = {
     # (section, key): (RunConfig field, type)
@@ -76,13 +78,23 @@ class RunConfig:
     precision: str = "f32"
 
     def __post_init__(self):
+        # refuse values no run can use before deriving from them
+        if not self.delta_f > 0:
+            raise ValueError(f"delta_f must be > 0, got {self.delta_f}")
+        if not self.snr_list:
+            raise ValueError("snr_list must name at least one SNR")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.lam < 0 or self.alpha < 0:
+            raise ValueError("lambda and alpha must be >= 0")
         if self.symbol_duration is None:
             self.symbol_duration = (1.0 + self.cp_fraction) / self.delta_f
         if self.doppler_hz is None:
             self.doppler_hz = doppler_from_speed(self.speed_kmh, self.f_c)
         if self.clip_norm is not None and self.clip_norm <= 0:
             self.clip_norm = None
-        self.train_config()  # refuse training values no run can use
 
     def ofdm(self) -> OfdmConfig:
         return OfdmConfig(n_f=self.n_f, n_t=self.n_t, delta_f=self.delta_f, f_c=self.f_c,
@@ -93,10 +105,6 @@ class RunConfig:
 
     def profile(self, name_or_path: str) -> TdlProfile:
         return load_tdl_profile(name_or_path, ds=self.delay_spread, f_d=self.doppler_hz)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(batch_size=self.batch_size, epochs=self.epochs, lr=self.lr, lam=self.lam,
-                           alpha=self.alpha, seed=self.seed, clip_norm=self.clip_norm)
 
     def echo(self) -> str:
         """The configuration as canonical INI text that `load_config` reads back to an equal one."""

@@ -1,5 +1,8 @@
-"""Training loops: plain reconstruction, Fisher estimation, EWC-regularized
-sequential training, and the multi-task upper bound.
+"""Training: one mini-batch Adam loop, Fisher estimation, the EWC anchor penalty.
+
+One loop serves plain training on one task, sequential training on the next
+task with the anchor penalty, and the multi-task bound (plain training on the
+union of the tasks' datasets). Its settings are the run's `RunConfig`.
 
 The reconstruction loss is the batch mean of per-sample squared Frobenius
 error between predicted and true 2-plane grids. Sequential training adds the
@@ -10,7 +13,7 @@ shared seed).
 
 The Fisher diagonal is the mean over fixed-order batches of the squared
 batch-loss gradient. Re-partitioning the dataset (different batch size or
-order) changes the estimate; the batch size is taken from TrainConfig.
+order) changes the estimate; the batch size is the run's `batch_size`.
 
 Fisher files mirror the checkpoint record format with magic "FISH": one
 record per parameter holding F, one "anchor.<name>" record per parameter
@@ -20,6 +23,7 @@ holding the anchor value, and a zero-length "task.<label>" record.
 import csv
 import io
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,31 +34,15 @@ from .fio import atomic_write_text
 from .model import ModelParams, forward, read_records, write_records
 from .optim import Adam, clip_global_norm
 
+if TYPE_CHECKING:  # config imports this module for DEFAULT_EWC_LAMBDA
+    from .config import RunConfig
+
 FISH_MAGIC = b"FISH"
 _SHUFFLE_TAG = 0x53484C  # distinguishes shuffle streams from sample streams
 
 # pinned by scripts/grid_search_lambda.py (see README): lowest mixed-set
 # validation NMSE over the {1, 10, 100, 1000, 10000} grid at alpha = 1
 DEFAULT_EWC_LAMBDA = 10000.0
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 128
-    epochs: int = 30
-    lr: float = 1e-3
-    lam: float = 0.0  # EWC importance (lambda)
-    alpha: float = 1.0  # EWC mixing weight
-    seed: int = 0
-    clip_norm: float | None = 10.0  # global-norm gradient clip; None disables
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.lam < 0 or self.alpha < 0:
-            raise ValueError("lambda and alpha must be >= 0")
 
 
 @dataclass
@@ -108,9 +96,14 @@ def ewc_loss(params_now: ModelParams, fisher: FisherDiag, lam: float) -> Tensor:
     return ad.mul_elementwise(half_lam, total)
 
 
-def _run_epochs(params: ModelParams, ds: ChannelDataset, cfg: TrainConfig,
-                fisher: FisherDiag | None = None):
-    """Shared mini-batch Adam loop; EWC penalty active only when lam*alpha > 0."""
+def train_task(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
+               fisher: FisherDiag | None = None):
+    """Mini-batch Adam on the reconstruction loss, plus alpha times the anchor penalty
+    when a previous task's Fisher is given and lam * alpha > 0.
+
+    Reads batch_size, epochs, lr, lam, alpha, seed and clip_norm from cfg. Returns the
+    per-epoch trace: mean loss, and with the penalty also ewc_loss and total_loss.
+    """
     if len(ds) < 1:
         raise ValueError("empty dataset")
     x_all, y_all = _dataset_planes(ds)
@@ -155,23 +148,6 @@ def _run_epochs(params: ModelParams, ds: ChannelDataset, cfg: TrainConfig,
     return trace
 
 
-def train_task(params: ModelParams, ds: ChannelDataset, cfg: TrainConfig):
-    """Plain reconstruction training; returns the per-epoch mean loss trace."""
-    return _run_epochs(params, ds, cfg, fisher=None)
-
-
-def train_task_cl(params: ModelParams, ds: ChannelDataset, fisher: FisherDiag, cfg: TrainConfig):
-    """Sequential training on a new task with the anchor penalty from the old one."""
-    if fisher is None:
-        raise ValueError("train_task_cl needs the Fisher/anchor state of the previous task")
-    return _run_epochs(params, ds, cfg, fisher=fisher)
-
-
-def train_multitask(params: ModelParams, ds_union: ChannelDataset, cfg: TrainConfig):
-    """Plain training on the shuffled union of the tasks' datasets."""
-    return _run_epochs(params, ds_union, cfg, fisher=None)
-
-
 def fisher_diagonal(tensors, batch_losses):
     """Mean of squared gradients over batches.
 
@@ -193,7 +169,7 @@ def fisher_diagonal(tensors, batch_losses):
     return [a / count for a in acc]
 
 
-def estimate_fisher(params: ModelParams, ds: ChannelDataset, cfg: TrainConfig,
+def estimate_fisher(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
                     task: str = "") -> FisherDiag:
     """Empirical Fisher diagonal over the dataset in fixed batch order."""
     if len(ds) < 1:

@@ -26,11 +26,11 @@ from chansr.channel import (OfdmConfig, PilotPattern, TdlProfile, dft_matrix,
                             generate_channel, interpolate_bilinear, load_tdl_profile,
                             ls_estimate, make_pilot_observation)
 from chansr.cli import main as cli_main
+from chansr.config import RunConfig
 from chansr.dataset import DOMAIN_TRAIN, concat_datasets, generate_dataset
 from chansr.evaluate import ls_bilinear_estimator, model_estimator, nmse, sweep
-from chansr.model import ModelParams, forward, init_params
-from chansr.training import (DEFAULT_EWC_LAMBDA, TrainConfig, estimate_fisher,
-                             ewc_loss, train_task, train_task_cl, train_multitask)
+from chansr.model import ModelParams, forward, init_params, init_rng
+from chansr.training import DEFAULT_EWC_LAMBDA, estimate_fisher, ewc_loss, train_task
 
 from oracles import (bilinear_oracle, conv2d_oracle, deconv2d_oracle,
                      pool_channel_oracle, pool_spatial_oracle, relative_error)
@@ -100,9 +100,9 @@ def _op_cases(dt):
         "relu": (lambda: ad.mse_loss(ad.relu(x), tgt), [x]),
         "sigmoid": (lambda: ad.mse_loss(ad.sigmoid(x), tgt), [x]),
         "scale_channels": (lambda: ad.mse_loss(ad.scale_channels(x, ad.sigmoid(g)), tgt), [x, g]),
-        "conv2d": (lambda: ad.tensor_mean(ad.mul_elementwise(c := ad.conv2d(x, w, b), c)), [x, w, b]),
+        "conv2d": (lambda: ad.tensor_sum(ad.mul_elementwise(c := ad.conv2d(x, w, b), c)), [x, w, b]),
         "conv2d_transpose": (
-            lambda: ad.tensor_mean(ad.mul_elementwise(d := ad.conv2d_transpose(x, dw, b, (2, 2)), d)),
+            lambda: ad.tensor_sum(ad.mul_elementwise(d := ad.conv2d_transpose(x, dw, b, (2, 2)), d)),
             [x, dw, b]),
         "pool_spatial_max": (lambda: ad.tensor_sum(ad.mul_elementwise(p := ad.pool_spatial(x, "max"), p)), [x]),
         "pool_spatial_avg": (lambda: ad.tensor_sum(ad.mul_elementwise(p := ad.pool_spatial(x, "avg"), p)), [x]),
@@ -263,13 +263,12 @@ def desk():
     train_a = generate_dataset(prof_a, _CFG, _PAT, _TRAIN_SNR, 4000, 0, DOMAIN_TRAIN)
     train_d = generate_dataset(prof_d, _CFG, _PAT, _TRAIN_SNR, 4000, 0, DOMAIN_TRAIN)
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0x696E6974,)))
-    base = init_params(rng)
+    base = init_params(init_rng(0))
 
     model_a = base.copy()
-    train_task(model_a, train_a, TrainConfig(**tc))
+    train_task(model_a, train_a, RunConfig(**tc))
     model_d = base.copy()
-    train_task(model_d, train_d, TrainConfig(**tc))
+    train_task(model_d, train_d, RunConfig(**tc))
 
     ls_est = ls_bilinear_estimator(_PAT, _CFG)
     sweeps = {}
@@ -280,13 +279,13 @@ def desk():
         }
     c4_elapsed = time.time() - t0
 
-    fisher = estimate_fisher(model_a, train_a, TrainConfig(**tc), task="tdl-a")
+    fisher = estimate_fisher(model_a, train_a, RunConfig(**tc), task="tdl-a")
     naive = model_a.copy()
-    train_task_cl(naive, train_d, fisher, TrainConfig(lam=0.0, **tc))
+    train_task(naive, train_d, RunConfig(lam=0.0, **tc), fisher)
     cl = model_a.copy()
-    train_task_cl(cl, train_d, fisher, TrainConfig(lam=DEFAULT_EWC_LAMBDA, **tc))
+    train_task(cl, train_d, RunConfig(lam=DEFAULT_EWC_LAMBDA, **tc), fisher)
     multi = base.copy()
-    train_multitask(multi, concat_datasets([train_a, train_d]), TrainConfig(**tc))
+    train_task(multi, concat_datasets([train_a, train_d]), RunConfig(**tc))
 
     def at10(params, profs, m_c):
         rep = sweep(model_estimator(params, _CFG), "x", profs, [_TRAIN_SNR], m_c, 0, _CFG, _PAT)
@@ -351,22 +350,22 @@ def test_c7_ewc_algebra():
     tc = dict(batch_size=8, epochs=8, lr=1e-3, seed=0)
 
     base = init_params(np.random.default_rng(7))
-    train_task(base, ds_a, TrainConfig(**tc))
-    fisher = estimate_fisher(base, ds_a, TrainConfig(**tc), task="one")
+    train_task(base, ds_a, RunConfig(**tc))
+    fisher = estimate_fisher(base, ds_a, RunConfig(**tc), task="one")
 
     assert ewc_loss(base, fisher, DEFAULT_EWC_LAMBDA).item() == 0.0
     assert all(np.all(f >= 0) for f in fisher.fisher.values())
 
     plain = base.copy()
-    train_task(plain, ds_d, TrainConfig(**tc))
+    train_task(plain, ds_d, RunConfig(**tc))
     lam0 = base.copy()
-    train_task_cl(lam0, ds_d, fisher, TrainConfig(lam=0.0, **tc))
+    train_task(lam0, ds_d, RunConfig(lam=0.0, **tc), fisher)
     for n in plain.names():
         assert plain[n].data.tobytes() == lam0[n].data.tobytes(), n
 
     pinned = base.copy()
-    train_task_cl(pinned, ds_d, fisher,
-                  TrainConfig(batch_size=8, epochs=20, lr=1e-4, seed=0, lam=1e12))
+    train_task(pinned, ds_d, RunConfig(batch_size=8, epochs=20, lr=1e-4, seed=0, lam=1e12),
+               fisher)
     worst = 0.0
     for n in pinned.names():
         f = fisher.fisher[n]

@@ -100,11 +100,14 @@ def test_missing_subcommand_and_unknown_flag(ws, capsys):
 
 
 def test_bad_config_file(ws, capsys):
-    (ws / "bad.ini").write_text("[ofdm]\nn_f = 27\nmystery = 1\n")
-    rc = _run("gen", "--config", "bad.ini", "--profile", "tdl-a", "--snr", "10",
-              "--n", "2", "--out", "x.chds")
-    assert rc == 1
-    assert "mystery" in capsys.readouterr().err
+    for text, key in (("[ofdm]\nn_f = 27\nmystery = 1\n", "mystery"), ("[ofdm]\ndelta_f = 0\n", "delta_f")):
+        (ws / "bad.ini").write_text(text)
+        rc = _run("gen", "--config", "bad.ini", "--profile", "tdl-a", "--snr", "10",
+                  "--n", "2", "--out", "x.chds")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and key in err
+        assert not (ws / "x.chds").exists()
 
 
 def test_train_run_dir_and_reproducibility(ws):
@@ -179,38 +182,41 @@ def test_full_continual_learning_pipeline(ws):
     _gen(ws, "a.chds", profile="tdl-a", seed="0")
     _gen(ws, "d.chds", profile="tdl-d", seed="0")
 
-    assert _run("train", "--config", "cfg.ini", "--data", "a.chds", "--seed", "1",
-                "--out", "post1") == 0
-    assert _run("fisher", "--config", "cfg.ini", "--data", "a.chds",
-                "--checkpoint", "post1/checkpoint.dasr", "--task-label", "tdl-a",
-                "--out", "fish") == 0
-    assert (ws / "fish" / "fisher.fish").exists()
+    # per run directory: the command with its input files, its setting flags, its outputs
+    cl_inputs = ("--data", "d.chds", "--checkpoint", "post1/checkpoint.dasr", "--fisher", "fish/fisher.fish")
+    trained = ("checkpoint.dasr", "loss.csv")
+    runs = {
+        "post1": (("train", "--data", "a.chds"), ("--seed", "1"), trained),
+        "fish": (("fisher", "--data", "a.chds", "--checkpoint", "post1/checkpoint.dasr",
+                  "--task-label", "tdl-a"), (), ("fisher.fish",)),
+        "cl": (("train-cl", *cl_inputs), ("--lambda", "100", "--seed", "1"), trained),
+        "naive": (("train-cl", *cl_inputs), ("--lambda", "0", "--seed", "1"), trained),
+        "multi": (("train-multitask", "--data", "a.chds", "--data", "d.chds"), ("--seed", "1"), trained),
+        "evls": (("eval", "--scheme", "ls", "--profile", "tdl-a", "tdl-d"), ("--mc", "4", "--seed", "2"),
+                 ("report.csv",)),
+        "evm": (("eval", "--scheme", "model", "--checkpoint", "cl/checkpoint.dasr", "--profile", "tdl-d"),
+                ("--snr-list", "5", "--mc", "2"), ("report.csv",)),
+        "forget": (("report-forgetting", "--post1", "post1/checkpoint.dasr", "--naive", "naive/checkpoint.dasr",
+                    "--cl", "cl/checkpoint.dasr", "--multitask", "multi/checkpoint.dasr"), ("--mc", "2"),
+                   ("forgetting.csv",)),
+    }
+    for out, (command, flags, _) in runs.items():
+        assert _run(*command, "--config", "cfg.ini", *flags, "--out", out) == 0, out
 
-    assert _run("train-cl", "--config", "cfg.ini", "--data", "d.chds",
-                "--checkpoint", "post1/checkpoint.dasr",
-                "--fisher", "fish/fisher.fish", "--lambda", "100",
-                "--seed", "1", "--out", "cl") == 0
     lines = (ws / "cl" / "loss.csv").read_text().splitlines()
     assert lines[0] == "epoch,loss,ewc_loss,total_loss"
-
-    assert _run("train-cl", "--config", "cfg.ini", "--data", "d.chds",
-                "--checkpoint", "post1/checkpoint.dasr",
-                "--fisher", "fish/fisher.fish", "--lambda", "0",
-                "--seed", "1", "--out", "naive") == 0
-    assert _run("train-multitask", "--config", "cfg.ini", "--data", "a.chds",
-                "--data", "d.chds", "--seed", "1", "--out", "multi") == 0
-
-    assert _run("report-forgetting", "--config", "cfg.ini",
-                "--post1", "post1/checkpoint.dasr",
-                "--naive", "naive/checkpoint.dasr",
-                "--cl", "cl/checkpoint.dasr",
-                "--multitask", "multi/checkpoint.dasr",
-                "--mc", "2", "--out", "forget") == 0
+    assert (ws / "naive" / "loss.csv").read_text().splitlines()[0] == "epoch,loss"
     lines = (ws / "forget" / "forgetting.csv").read_text().splitlines()
     # header + 4 schemes x 3 sets x 2 SNRs + 2 delta rows
     assert len(lines) == 1 + 24 + 2
     assert lines[0] == "scheme,profile,snr_db,nmse_linear,nmse_db,mc,seed"
     assert sum(1 for ln in lines if ln.startswith("delta_naive_minus_cl")) == 2
+
+    # each run's own config.ini, given the same input files and no setting flag, reruns it to the same bytes
+    for out, (command, _, outputs) in runs.items():
+        assert _run(*command, "--config", f"{out}/config.ini", "--out", f"{out}-rerun") == 0, out
+        for f in outputs + ("config.ini",):
+            assert (ws / out / f).read_bytes() == (ws / f"{out}-rerun" / f).read_bytes(), (out, f)
 
 
 def test_train_cl_missing_fisher_message(ws, capsys):
@@ -333,6 +339,15 @@ def test_config_ini_records_the_flags_and_reruns_the_run(ws):
     assert _run("train", "--config", "run1/config.ini", "--data", "b.chds", "--out", "run2") == 0
     for f in ("checkpoint.dasr", "loss.csv", "config.ini"):
         assert (ws / "run1" / f).read_bytes() == (ws / "run2" / f).read_bytes(), f
+
+
+def test_empty_snr_list_in_a_config_is_a_usage_error(ws, capsys):
+    (ws / "e.ini").write_text(_INI.replace("snr_list = 0, 10", "snr_list ="))
+    rc = _run("eval", "--config", "e.ini", "--scheme", "ls", "--profile", "tdl-a", "--mc", "2", "--out", "ev")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "snr_list" in err
+    assert not (ws / "ev").exists()
 
 
 def test_eval_mc_must_be_a_multiple_of_the_profile_count(ws, capsys):

@@ -71,6 +71,17 @@ def test_unknown_key_and_bad_values(tmp_path):
         load_config(batch_size=0)
 
 
+def test_training_settings_validation():
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        RunConfig(batch_size=0)
+    with pytest.raises(ValueError, match="lambda and alpha must be >= 0"):
+        RunConfig(lam=-1.0)
+    with pytest.raises(ValueError, match="lambda and alpha must be >= 0"):
+        RunConfig(alpha=-0.5)
+    with pytest.raises(ValueError, match="epochs must be >= 0"):
+        RunConfig(epochs=-1)
+
+
 def test_precision_must_be_f32_or_f64(tmp_path):
     with pytest.raises(ValueError, match="precision must be f32 or f64"):
         load_config(_write(tmp_path, "[run]\nprecision = f16\n"))
@@ -80,7 +91,7 @@ def test_precision_must_be_f32_or_f64(tmp_path):
 @pytest.mark.parametrize("text", ["0", "-1", "none", "off"])
 def test_clip_norm_at_or_below_zero_means_unclipped(tmp_path, text):
     cfg = load_config(_write(tmp_path, f"[train]\nclip_norm = {text}\n"))
-    assert cfg.clip_norm is None and cfg.train_config().clip_norm is None
+    assert cfg.clip_norm is None
     assert "clip_norm = none\n" in cfg.echo()
     assert RunConfig(clip_norm=-2.0).clip_norm is None
 

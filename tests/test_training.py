@@ -9,11 +9,11 @@ import chansr.autodiff as ad
 import chansr.training as training
 from chansr.autodiff import Tensor
 from chansr.channel import OfdmConfig, PilotPattern, load_tdl_profile
+from chansr.config import RunConfig
 from chansr.dataset import DOMAIN_TRAIN, generate_dataset
 from chansr.model import ModelParams, PARAM_SPECS, init_params
-from chansr.training import (FisherDiag, TrainConfig, estimate_fisher, ewc_loss,
-                             fisher_diagonal, load_fisher, save_fisher, train_task,
-                             train_task_cl, train_multitask, write_loss_csv)
+from chansr.training import (FisherDiag, estimate_fisher, ewc_loss, fisher_diagonal,
+                             load_fisher, save_fisher, train_task, write_loss_csv)
 
 # reduced geometry: 27x10 grid, 3x2 pilots; the stride-(9,5) deconv from a
 # 3x2 input lands exactly on 27x10, so every layer still participates
@@ -39,7 +39,7 @@ def _fisher_like(params, fill=0.0):
 def test_zero_lr_leaves_parameters_unchanged():
     p = init_params(np.random.default_rng(0))
     before = {n: p[n].data.copy() for n in p.names()}
-    trace = train_task(p, _tiny_dataset(4), TrainConfig(batch_size=2, epochs=2, lr=0.0))
+    trace = train_task(p, _tiny_dataset(4), RunConfig(batch_size=2, epochs=2, lr=0.0))
     assert len(trace) == 2
     for n in p.names():
         assert np.array_equal(p[n].data, before[n])
@@ -48,13 +48,13 @@ def test_zero_lr_leaves_parameters_unchanged():
 def test_single_sample_overfit():
     p = init_params(np.random.default_rng(1))
     ds = _tiny_dataset(1)
-    trace = train_task(p, ds, TrainConfig(batch_size=1, epochs=300, lr=1e-3, seed=1))
+    trace = train_task(p, ds, RunConfig(batch_size=1, epochs=300, lr=1e-3, seed=1))
     assert trace[-1]["loss"] < 0.01 * trace[0]["loss"]
 
 
 def test_training_deterministic_in_seed():
     ds = _tiny_dataset(6)
-    cfg = TrainConfig(batch_size=2, epochs=3, lr=1e-3, seed=4)
+    cfg = RunConfig(batch_size=2, epochs=3, lr=1e-3, seed=4)
     p1 = init_params(np.random.default_rng(2))
     p2 = init_params(np.random.default_rng(2))
     t1 = train_task(p1, ds, cfg)
@@ -63,7 +63,7 @@ def test_training_deterministic_in_seed():
     for n in p1.names():
         assert np.array_equal(p1[n].data, p2[n].data)
     p3 = init_params(np.random.default_rng(2))
-    train_task(p3, ds, TrainConfig(batch_size=2, epochs=3, lr=1e-3, seed=5))
+    train_task(p3, ds, RunConfig(batch_size=2, epochs=3, lr=1e-3, seed=5))
     assert any(not np.array_equal(p1[n].data, p3[n].data) for n in p1.names())
 
 
@@ -91,7 +91,7 @@ def test_fisher_diagonal_nonnegative_and_disconnected_zero():
 def test_estimate_fisher_deterministic_and_anchored():
     p = init_params(np.random.default_rng(3))
     ds = _tiny_dataset(6)
-    cfg = TrainConfig(batch_size=2, epochs=1)
+    cfg = RunConfig(batch_size=2, epochs=1)
     f1 = estimate_fisher(p, ds, cfg, task="t")
     f2 = estimate_fisher(p, ds, cfg, task="t")
     for n in p.names():
@@ -148,16 +148,15 @@ def test_ewc_loss_rejects_mismatched_parameter_set():
 def test_lambda_zero_and_alpha_zero_bit_identical_to_plain():
     ds2 = _tiny_dataset(6, seed=1, profile="tdl-d")
     base = init_params(np.random.default_rng(8))
-    fisher = estimate_fisher(base, _tiny_dataset(6), TrainConfig(batch_size=2))
+    fisher = estimate_fisher(base, _tiny_dataset(6), RunConfig(batch_size=2))
 
     ref = base.copy()
-    train_task(ref, ds2, TrainConfig(batch_size=2, epochs=2, lr=1e-3, seed=2))
+    train_task(ref, ds2, RunConfig(batch_size=2, epochs=2, lr=1e-3, seed=2))
 
     for lam, alpha in ((0.0, 1.0), (50.0, 0.0)):
         p = base.copy()
-        trace = train_task_cl(p, ds2, fisher,
-                              TrainConfig(batch_size=2, epochs=2, lr=1e-3, seed=2,
-                                          lam=lam, alpha=alpha))
+        trace = train_task(p, ds2, RunConfig(batch_size=2, epochs=2, lr=1e-3, seed=2,
+                                             lam=lam, alpha=alpha), fisher)
         for n in p.names():
             assert p[n].data.tobytes() == ref[n].data.tobytes(), (lam, alpha, n)
         assert "ewc_loss" not in trace[0]
@@ -167,11 +166,11 @@ def test_huge_lambda_pins_important_parameters():
     base = init_params(np.random.default_rng(9))
     ds1 = _tiny_dataset(8, seed=2)
     # settle on task 1 a little so the anchor has meaningful curvature
-    train_task(base, ds1, TrainConfig(batch_size=4, epochs=10, lr=1e-3, seed=3))
-    fisher = estimate_fisher(base, ds1, TrainConfig(batch_size=4), task="one")
+    train_task(base, ds1, RunConfig(batch_size=4, epochs=10, lr=1e-3, seed=3))
+    fisher = estimate_fisher(base, ds1, RunConfig(batch_size=4), task="one")
     p = base.copy()
-    trace = train_task_cl(p, _tiny_dataset(8, seed=3, profile="tdl-d"), fisher,
-                          TrainConfig(batch_size=4, epochs=20, lr=1e-4, seed=4, lam=1e12))
+    trace = train_task(p, _tiny_dataset(8, seed=3, profile="tdl-d"),
+                       RunConfig(batch_size=4, epochs=20, lr=1e-4, seed=4, lam=1e12), fisher)
     assert "ewc_loss" in trace[0] and "total_loss" in trace[0]
     moved = []
     for n in p.names():
@@ -182,26 +181,9 @@ def test_huge_lambda_pins_important_parameters():
     assert moved and max(moved) < 1e-3
 
 
-def test_train_task_cl_requires_fisher():
-    p = init_params(np.random.default_rng(10))
-    with pytest.raises(ValueError):
-        train_task_cl(p, _tiny_dataset(2), None, TrainConfig(batch_size=2, epochs=1))
-
-
-def test_multitask_equals_plain_on_union():
-    ds = _tiny_dataset(6)
-    cfg = TrainConfig(batch_size=2, epochs=2, lr=1e-3, seed=6)
-    p1 = init_params(np.random.default_rng(11))
-    p2 = init_params(np.random.default_rng(11))
-    train_multitask(p1, ds, cfg)
-    train_task(p2, ds, cfg)
-    for n in p1.names():
-        assert np.array_equal(p1[n].data, p2[n].data)
-
-
 def test_fish_round_trip(tmp_path):
     p = init_params(np.random.default_rng(12))
-    fd = estimate_fisher(p, _tiny_dataset(4), TrainConfig(batch_size=2), task="tdl-a")
+    fd = estimate_fisher(p, _tiny_dataset(4), RunConfig(batch_size=2), task="tdl-a")
     f = tmp_path / "f.fish"
     save_fisher(fd, f)
     back = load_fisher(f)
@@ -244,7 +226,7 @@ def test_each_step_frees_the_previous_graph_before_its_forward(monkeypatch):
     # by refcount alone, since the cycle collector is off
     p = init_params(np.random.default_rng(6))
     ds = _tiny_dataset(6)
-    cfg = TrainConfig(batch_size=2, epochs=2, seed=1)
+    cfg = RunConfig(batch_size=2, epochs=2, seed=1)
     counts = []
     real_forward = training.forward
 
@@ -259,19 +241,8 @@ def test_each_step_frees_the_previous_graph_before_its_forward(monkeypatch):
         base = _live_tensors()
         train_task(p, ds, cfg)
         fd = estimate_fisher(p, ds, cfg)
-        train_task_cl(p, ds, fd, TrainConfig(batch_size=2, epochs=2, seed=2, lam=10.0))
+        train_task(p, ds, RunConfig(batch_size=2, epochs=2, seed=2, lam=10.0), fd)
     finally:
         gc.enable()
     assert len(counts) == 3 * 2 + 3 + 3 * 2
     assert counts == [base + 2] * len(counts)
-
-
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(lam=-1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(alpha=-0.5)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=-1)
