@@ -10,10 +10,12 @@ Gradient conventions:
   buffer, so a parameter not reached by the loss keeps an all-zero gradient;
 * repeated ``backward`` calls accumulate on leaves; intermediate grads are
   reset at the start of every call;
+* leaf grads are updated in place, so a grad that is a view stays one;
 * ReLU derivative at exactly 0 is 0; max pooling routes its gradient to the
   first maximal element in row-major order.
 
-Shape conventions: image-like ops accept [C,H,W] or batched [B,C,H,W];
+Ops are module functions; a Tensor has no arithmetic operators. Shape
+conventions: image-like ops accept [C,H,W] or batched [B,C,H,W];
 ``mse_loss`` always treats axis 0 as the batch axis.
 """
 
@@ -84,30 +86,11 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
-
-    # operator sugar; named module functions below carry the semantics
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul_elementwise(self, _wrap(other, self))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, mul_elementwise(_wrap(other, self), _wrap(-1.0, self)))
+        """Zero the gradient in place, so a gradient that is a view stays one."""
+        self.grad[...] = 0
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-
-def _wrap(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype), dtype=like.data.dtype)
 
 
 def _check_same_dtype(*tensors: Tensor) -> None:

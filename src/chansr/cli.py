@@ -70,7 +70,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen", parents=[], help="generate a CHDS dataset file")
     _add_global_flags(p)
     p.add_argument("--profile", required=True, help="tdl-a, tdl-d, or a tap-table path")
-    p.add_argument("--snr", required=True, type=float, help="pilot SNR in dB (inf for noiseless)")
+    p.add_argument("--snr", dest="train_snr_db", type=float,
+                   help="pilot SNR in dB (inf for noiseless; default: [train] train_snr_db)")
     p.add_argument("--n", required=True, type=int, help="sample count")
     p.add_argument("--split", choices=sorted(_DOMAINS), default="train", help="seed domain")
 
@@ -212,17 +213,18 @@ def _load_params(path: str):
 def cmd_gen(args, cfg: RunConfig, argv) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    out = args.out or f"{os.path.basename(args.profile)}_snr{args.snr:g}_{args.split}.chds"
+    snr = cfg.train_snr_db
+    out = args.out or f"{os.path.basename(args.profile)}_snr{snr:g}_{args.split}.chds"
     if os.path.exists(out) and not args.force:
         raise UsageError(f"{out} exists; pass --force to overwrite")
     try:
         profile = cfg.profile(args.profile)
-        ds = generate_dataset(profile, cfg.ofdm(), cfg.pattern(), args.snr, args.n,
+        ds = generate_dataset(profile, cfg.ofdm(), cfg.pattern(), snr, args.n,
                               cfg.seed, _DOMAINS[args.split])
     except ValueError as e:
         raise DataError(str(e)) from e
     save_dataset(ds, out)
-    print(f"wrote {out}: {args.n} samples, profile {profile.name}, snr {args.snr:g} dB, split {args.split}")
+    print(f"wrote {out}: {args.n} samples, profile {profile.name}, snr {snr:g} dB, split {args.split}")
     return 0
 
 

@@ -71,7 +71,7 @@ class RunConfig:
     lam: float = DEFAULT_EWC_LAMBDA
     alpha: float = 1.0
     clip_norm: float | None = 10.0  # None or <= 0: unclipped
-    train_snr_db: float = 10.0
+    train_snr_db: float = 10.0  # gen's pilot SNR when --snr is not given
     snr_list: tuple = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0)
     mc: int = 500  # trials per profile
     seed: int = 0

@@ -6,8 +6,9 @@ Input is the LS pilot estimate as [2, N_f_p, N_t_p] real/imag planes (plane 0
 real, plane 1 imaginary); output is the full [2, N_f, N_t] grid in the same
 convention. All stages accept an optional leading batch axis.
 
-The parameter set and its order are fixed; the order defines the parameter
-indexing used by the Fisher/anchor machinery in training.
+The parameter set and its order are fixed. `ModelParams` keeps the values,
+and the gradients, as one vector each in that order, with a named view per
+parameter; the optimizer, Fisher pass and anchor penalty work on the vectors.
 
 Checkpoint format (little-endian): magic "DASR", version u32, then per
 parameter: name length u32, name bytes, rank u32, dims u32 each, float32
@@ -46,26 +47,52 @@ PARAM_SPECS = (
 
 UPSAMPLE_STRIDE = (9, 5)
 
-PARAM_COUNT = sum(int(np.prod(shape)) for _, shape in PARAM_SPECS)
+_SIZES = [int(np.prod(shape)) for _, shape in PARAM_SPECS]
+PARAM_COUNT = sum(_SIZES)
+
+
+def split_flat(vec: np.ndarray) -> dict:
+    """Named views of a PARAM_COUNT vector, one per PARAM_SPECS entry in its shape."""
+    parts = np.split(vec, np.cumsum(_SIZES)[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(PARAM_SPECS, parts)}
+
+
+def join_flat(arrays: dict, dtype) -> np.ndarray:
+    """The PARAM_SPECS-ordered concatenation of named arrays, as one dtype vector."""
+    return np.concatenate([np.ravel(arrays[name]) for name, _ in PARAM_SPECS], dtype=dtype)
+
+
+def check_registry(arrays: dict, what: str = "parameter") -> None:
+    """Refuse named arrays that are not exactly PARAM_SPECS: a missing or extra
+    name, another shape, or a non-finite value."""
+    missing = [n for n, _ in PARAM_SPECS if n not in arrays]
+    extra = [n for n in arrays if n not in dict(PARAM_SPECS)]
+    if missing or extra:
+        raise ValueError(f"{what} set mismatch: missing {missing}, unexpected {extra}")
+    for name, shape in PARAM_SPECS:
+        data = np.asarray(arrays[name])
+        if data.shape != shape:
+            raise ValueError(f"{what} {name}: shape {data.shape} != expected {shape}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"{what} {name}: non-finite values")
 
 
 class ModelParams:
-    """Ordered, named parameter tensors; exactly the PARAM_SPECS set."""
+    """Exactly the PARAM_SPECS set: `params[name].data` and `.grad` are views into
+    `flat.data` and `flat.grad`. Values take the dtype of the Tensors given, else
+    the default dtype."""
 
     def __init__(self, arrays: dict):
-        missing = [n for n, _ in PARAM_SPECS if n not in arrays]
-        extra = [n for n in arrays if n not in dict(PARAM_SPECS)]
-        if missing or extra:
-            raise ValueError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
+        dt = next((v.dtype for v in arrays.values() if isinstance(v, Tensor)), ad.default_dtype())
+        # checked after the cast, which can overflow to infinity
+        data = {n: np.asarray(v.data if isinstance(v, Tensor) else v, dtype=dt) for n, v in arrays.items()}
+        check_registry(data)
+        self.flat = Tensor(join_flat(data, dt), requires_grad=True, dtype=dt)
+        grads = split_flat(self.flat.grad)
         self._tensors = {}
-        for name, shape in PARAM_SPECS:
-            value = arrays[name]
-            data = value.data if isinstance(value, Tensor) else np.asarray(value)
-            if tuple(data.shape) != shape:
-                raise ValueError(f"{name}: shape {tuple(data.shape)} != expected {shape}")
-            if not np.all(np.isfinite(data)):
-                raise ValueError(f"{name}: non-finite values")
-            self._tensors[name] = value if isinstance(value, Tensor) else Tensor(data, requires_grad=True)
+        for name, view in split_flat(self.flat.data).items():
+            t = self._tensors[name] = Tensor(view, requires_grad=True, dtype=dt)
+            t.grad = grads[name]
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -79,9 +106,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams({n: t.data.copy() for n, t in self._tensors.items()})
-
-    def count(self) -> int:
-        return sum(t.data.size for t in self.tensors())
 
 
 def init_rng(seed: int) -> np.random.Generator:
@@ -209,5 +233,4 @@ def load_params(path: str) -> ModelParams:
     arrays = dict(records)
     if len(arrays) != len(records):
         raise ValueError(f"{path}: duplicate parameter names")
-    dt = ad.default_dtype()
-    return ModelParams({n: Tensor(a.astype(dt), requires_grad=True) for n, a in arrays.items()})
+    return ModelParams(arrays)

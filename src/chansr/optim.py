@@ -1,45 +1,43 @@
-"""Adam optimizer with bias correction, plus global-norm gradient clipping."""
+"""Adam optimizer with bias correction over one flat parameter Tensor, plus
+global-norm gradient clipping over the named parameters."""
 
 import numpy as np
 
 
 class Adam:
-    """Standard Adam over a list of parameter tensors.
+    """Standard Adam over one parameter tensor (a model's `ModelParams.flat`).
 
     Update: m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2;
     p <- p - lr * m_hat / (sqrt(v_hat) + eps) with bias-corrected moments.
-    Gradients are cleared (set to None) after each step; a subsequent step
-    without a fresh backward pass raises.
+    The update and the zeroing of the gradient after it are done in place, so
+    views into the parameter and its gradient stay views.
     """
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
-        if not self.params:
-            raise ValueError("Adam needs at least one parameter")
+    def __init__(self, param, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.param = param
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
         # moments kept in float64 regardless of parameter dtype
-        self.m = [np.zeros(p.data.shape, np.float64) for p in self.params]
-        self.v = [np.zeros(p.data.shape, np.float64) for p in self.params]
+        self.m = np.zeros(param.data.shape, np.float64)
+        self.v = np.zeros(param.data.shape, np.float64)
 
     def step(self) -> None:
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                raise ValueError(f"parameter {i} has no gradient; run backward before step")
+        p = self.param
+        if p.grad is None:
+            raise ValueError("parameter has no gradient; run backward before step")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad.astype(np.float64, copy=False)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / c1
-            v_hat = self.v[i] / c2
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
-            p.grad = None
+        g = p.grad.astype(np.float64, copy=False)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
+        m_hat = self.m / c1
+        v_hat = self.v / c2
+        p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+        p.grad[...] = 0
 
 
 def clip_global_norm(params, max_norm: float) -> float:

@@ -9,7 +9,9 @@ error between predicted and true 2-plane grids. Sequential training adds the
 quadratic anchor penalty sum_i (lambda/2) * F_i * (theta_i - anchor_i)^2,
 scaled by alpha; only the product lambda * alpha matters, and when it is 0
 the code path is exactly the plain loop (bit-identical results under a
-shared seed).
+shared seed). The penalty stays outside the autodiff graph: its value and
+its gradient are vector ops on `ModelParams.flat`, the gradient added after
+the reconstruction loss's backward pass.
 
 The Fisher diagonal is the mean over fixed-order batches of the squared
 batch-loss gradient. Re-partitioning the dataset (different batch size or
@@ -17,7 +19,8 @@ order) changes the estimate; the batch size is the run's `batch_size`.
 
 Fisher files mirror the checkpoint record format with magic "FISH": one
 record per parameter holding F, one "anchor.<name>" record per parameter
-holding the anchor value, and a zero-length "task.<label>" record.
+holding the anchor value, and a zero-length "task.<label>" record. Both
+record sets must match the model's PARAM_SPECS, finite, with F >= 0.
 """
 
 import csv
@@ -31,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .dataset import ChannelDataset, planes_from_complex
 from .fio import atomic_write_text
-from .model import ModelParams, forward, read_records, write_records
+from .model import ModelParams, check_registry, forward, join_flat, read_records, split_flat, write_records
 from .optim import Adam, clip_global_norm
 
 if TYPE_CHECKING:  # config imports this module for DEFAULT_EWC_LAMBDA
@@ -54,13 +57,11 @@ class FisherDiag:
     task: str = ""
 
     def __post_init__(self):
-        if set(self.fisher) != set(self.anchor):
-            raise ValueError("fisher and anchor must cover the same parameters")
+        check_registry(self.fisher, "Fisher")
+        check_registry(self.anchor, "anchor")
         for name, f in self.fisher.items():
             if np.any(f < 0):
                 raise ValueError(f"{name}: negative Fisher entry")
-            if f.shape != self.anchor[name].shape:
-                raise ValueError(f"{name}: fisher/anchor shape mismatch")
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
@@ -76,24 +77,13 @@ def _dataset_planes(ds: ChannelDataset):
     return planes_from_complex(ds.h_ls, dtype=dt), planes_from_complex(ds.h_true, dtype=dt)
 
 
-def ewc_loss(params_now: ModelParams, fisher: FisherDiag, lam: float) -> Tensor:
-    """Quadratic anchor penalty sum_i (lam/2) * F_i * (theta_i - anchor_i)^2."""
-    names = params_now.names()
-    if set(fisher.fisher) != set(names):
-        raise ValueError("Fisher parameter set does not match the model")
-    total = None
-    for name in names:
-        p = params_now[name]
-        dt = p.data.dtype
-        if fisher.anchor[name].shape != p.data.shape:
-            raise ValueError(f"{name}: anchor shape {fisher.anchor[name].shape} != {p.data.shape}")
-        anchor = Tensor(fisher.anchor[name].astype(dt))
-        f = Tensor(fisher.fisher[name].astype(dt))
-        d = p - anchor
-        term = ad.tensor_sum(ad.mul_elementwise(f, ad.mul_elementwise(d, d)))
-        total = term if total is None else ad.add(total, term)
-    half_lam = Tensor(np.asarray(lam / 2.0, dtype=total.data.dtype))
-    return ad.mul_elementwise(half_lam, total)
+def ewc_loss(params: ModelParams, fisher: FisherDiag, lam: float) -> np.ndarray:
+    """Quadratic anchor penalty sum_i (lam/2) * F_i * (theta_i - anchor_i)^2, a 0-d
+    array of the parameter dtype, summed per parameter in registry order."""
+    dt = params.flat.data.dtype
+    d = params.flat.data - join_flat(fisher.anchor, dt)
+    per_param = split_flat(join_flat(fisher.fisher, dt) * (d * d))
+    return np.asarray(dt.type(lam / 2.0) * sum(v.sum(dtype=dt) for v in per_param.values()))
 
 
 def train_task(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
@@ -108,9 +98,15 @@ def train_task(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
         raise ValueError("empty dataset")
     x_all, y_all = _dataset_planes(ds)
     target = (y_all.shape[-2], y_all.shape[-1])
-    tensors = params.tensors()
-    opt = Adam(tensors, lr=cfg.lr)
+    flat = params.flat
+    opt = Adam(flat, lr=cfg.lr)
     use_ewc = fisher is not None and cfg.lam * cfg.alpha > 0
+    if use_ewc:
+        dt = flat.data.dtype
+        alpha = dt.type(cfg.alpha)
+        # gradient of alpha * penalty: 2 * (alpha * lam/2) * F * (theta - anchor)
+        c_fisher = (alpha * dt.type(cfg.lam / 2.0)) * join_flat(fisher.fisher, dt)
+        anchor = join_flat(fisher.anchor, dt)
     trace = []
     for epoch in range(cfg.epochs):
         perm = _epoch_rng(cfg.seed, epoch).permutation(len(ds))
@@ -121,24 +117,23 @@ def train_task(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
             x = Tensor(x_all[idx], dtype=x_all.dtype)
             y = Tensor(y_all[idx], dtype=y_all.dtype)
             loss_h = ad.mse_loss(forward(x, params, target), y)
+            value = loss_h.data
             if use_ewc:
                 penalty = ewc_loss(params, fisher, cfg.lam)
-                alpha = Tensor(np.asarray(cfg.alpha, dtype=penalty.data.dtype))
-                loss = ad.add(loss_h, ad.mul_elementwise(alpha, penalty))
+                value = value + alpha * penalty
                 ewc_sum += penalty.item()
-                del penalty, alpha
-            else:
-                loss = loss_h
-            value = loss.item()
             if not np.isfinite(value):
                 raise FloatingPointError(
                     f"non-finite training loss {value} at epoch {epoch}, batch {s // cfg.batch_size}")
-            ad.backward(loss)
+            ad.backward(loss_h)
+            if use_ewc:
+                t = c_fisher * (flat.data - anchor)
+                flat.grad += t + t  # the two d(d*d) terms are summed before they reach theta
             if cfg.clip_norm:
-                clip_global_norm(tensors, cfg.clip_norm)
+                clip_global_norm(params.tensors(), cfg.clip_norm)
             opt.step()
             h_sum += loss_h.item()
-            del loss, loss_h  # free this step's graph before the next forward builds one
+            del loss_h  # free this step's graph before the next forward builds one
         n_b = len(slices)
         row = {"epoch": epoch, "loss": h_sum / n_b}
         if use_ewc:
@@ -148,25 +143,23 @@ def train_task(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
     return trace
 
 
-def fisher_diagonal(tensors, batch_losses):
-    """Mean of squared gradients over batches.
+def fisher_diagonal(param: Tensor, batch_losses) -> np.ndarray:
+    """Mean of squared gradients over batches, as a float64 array of param's shape.
 
-    tensors: parameter Tensors; batch_losses: iterable of callables, each
-    returning the scalar loss of one batch. Returns float64 arrays.
+    param: the Tensor whose grad the losses fill (a model's `ModelParams.flat`);
+    batch_losses: iterable of callables, each returning the scalar loss of one batch.
     """
-    acc = [np.zeros(t.data.shape, np.float64) for t in tensors]
+    acc = np.zeros(param.data.shape, np.float64)
     count = 0
     for make_loss in batch_losses:
-        for t in tensors:
-            t.zero_grad()
+        param.zero_grad()
         ad.backward(make_loss())  # the batch's graph is freed when backward returns
-        for a, t in zip(acc, tensors):
-            g = t.grad.astype(np.float64)
-            a += g * g
+        g = param.grad.astype(np.float64)
+        acc += g * g
         count += 1
     if count == 0:
         raise ValueError("fisher_diagonal needs at least one batch")
-    return [a / count for a in acc]
+    return acc / count
 
 
 def estimate_fisher(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
@@ -186,17 +179,12 @@ def estimate_fisher(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
         return batch_loss
 
     losses = [make(s, e) for s, e in _batch_slices(len(ds), cfg.batch_size)]
-    tensors = params.tensors()
-    diag = fisher_diagonal(tensors, losses)
-    for t in tensors:
-        t.zero_grad()
-    dt = ad.default_dtype()
-    names = params.names()
-    return FisherDiag(
-        fisher={n: d.astype(dt) for n, d in zip(names, diag)},
-        anchor={n: params[n].data.copy() for n in names},
-        task=task,
-    )
+    diag = fisher_diagonal(params.flat, losses)
+    params.flat.zero_grad()
+    if not np.all(np.isfinite(diag)):
+        raise FloatingPointError("non-finite Fisher estimate")
+    return FisherDiag(fisher=split_flat(diag.astype(ad.default_dtype())),
+                      anchor=split_flat(params.flat.data.copy()), task=task)
 
 
 def save_fisher(fd: FisherDiag, path: str) -> None:

@@ -1,10 +1,15 @@
 """Brute-force reference implementations used to validate the fast paths.
 
 Everything here is written directly from the defining sums with plain Python
-loops, independent of the library's vectorized/jitted code.
+loops, independent of the library's vectorized/jitted code. The anchor-penalty
+oracle is the penalty's former autodiff-graph form, which the flat vector form
+must match bit for bit.
 """
 
 import numpy as np
+
+from chansr import autodiff as ad
+from chansr.autodiff import Tensor
 
 
 def conv2d_oracle(x, w, b):
@@ -136,6 +141,22 @@ def bilinear_oracle(h_p, p_f, p_t, n_f, n_t):
         for t in range(n_t):
             full[k, t] = interp1(list(p_t), row, t)
     return full
+
+
+def ewc_graph_oracle(params, fisher, lam):
+    """The anchor penalty sum_i (lam/2) * F_i * (theta_i - anchor_i)^2 as an autodiff graph over the
+    named parameters, in registry order, with d = theta + (-1) * anchor; backward through it gives
+    the penalty's gradient with the graph's own rounding."""
+    total = None
+    for name in params.names():
+        p = params[name]
+        dt = p.data.dtype
+        anchor = Tensor(fisher.anchor[name].astype(dt), dtype=dt)
+        f = Tensor(fisher.fisher[name].astype(dt), dtype=dt)
+        d = ad.add(p, ad.mul_elementwise(anchor, Tensor(np.asarray(-1.0, dt), dtype=dt)))
+        term = ad.tensor_sum(ad.mul_elementwise(f, ad.mul_elementwise(d, d)))
+        total = term if total is None else ad.add(total, term)
+    return ad.mul_elementwise(Tensor(np.asarray(lam / 2.0, dt), dtype=dt), total)
 
 
 def finite_difference(f, arrays, step=1e-3):

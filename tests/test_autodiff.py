@@ -116,19 +116,19 @@ def test_backward_of_sum_is_ones():
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
-        ad.backward(x + x)
+        ad.backward(ad.add(x, x))
 
 
 def test_unreached_parameter_grad_stays_zero():
     used = Tensor(np.ones(2), requires_grad=True)
     unused = Tensor(np.ones(2), requires_grad=True)
-    ad.backward(ad.tensor_sum(used * used))
+    ad.backward(ad.tensor_sum(ad.mul_elementwise(used, used)))
     assert np.array_equal(unused.grad, np.zeros(2, np.float32))
 
 
 def test_repeated_backward_accumulates_on_leaves():
     x = Tensor(np.array([3.0]), requires_grad=True)
-    loss = ad.tensor_sum(x * x)
+    loss = ad.tensor_sum(ad.mul_elementwise(x, x))
     ad.backward(loss)
     first = x.grad.copy()
     ad.backward(loss)
@@ -141,7 +141,7 @@ def test_graph_is_freed_by_refcount_after_backward():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     gc.disable()
     try:
-        mid = ad.sigmoid(x * x)
+        mid = ad.sigmoid(ad.mul_elementwise(x, x))
         alive = weakref.ref(mid.data)
         loss = ad.tensor_sum(ad.relu(mid))
         del mid
@@ -158,12 +158,12 @@ def test_backward_linearity():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((3, 3))
     x1 = Tensor(a, requires_grad=True, dtype=np.float64)
-    l1 = ad.tensor_sum(x1 * x1)
+    l1 = ad.tensor_sum(ad.mul_elementwise(x1, x1))
     l2 = ad.tensor_sum(ad.relu(x1))
     ad.backward(ad.add(l1, l2))
     combined = x1.grad.copy()
     x2 = Tensor(a, requires_grad=True, dtype=np.float64)
-    ad.backward(ad.tensor_sum(x2 * x2))
+    ad.backward(ad.tensor_sum(ad.mul_elementwise(x2, x2)))
     g1 = x2.grad.copy()
     x3 = Tensor(a, requires_grad=True, dtype=np.float64)
     ad.backward(ad.tensor_sum(ad.relu(x3)))

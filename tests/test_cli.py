@@ -11,7 +11,8 @@ import pytest
 import chansr
 from chansr.cli import main
 from chansr.dataset import load_dataset
-from chansr.model import DASR_MAGIC, load_params, read_records
+from chansr.model import DASR_MAGIC, load_params, read_records, write_records
+from chansr.training import FISH_MAGIC
 
 # reduced geometry + short runs keep each stage well under a second
 _INI = """\
@@ -229,6 +230,41 @@ def test_train_cl_missing_fisher_message(ws, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "missing.fish" in err and "'fisher' stage" in err
+
+
+@pytest.mark.parametrize("damage", ["missing_parameter", "nan_fisher", "inf_anchor"])
+def test_train_cl_refuses_a_fisher_file_that_does_not_match_the_model(ws, capsys, damage):
+    _gen(ws, "a.chds")
+    assert _run("train", "--config", "cfg.ini", "--data", "a.chds", "--out", "p1") == 0
+    assert _run("fisher", "--config", "cfg.ini", "--data", "a.chds", "--checkpoint", "p1/checkpoint.dasr",
+                "--out", "fish") == 0
+    records = dict(read_records(str(ws / "fish" / "fisher.fish"), FISH_MAGIC))
+    if damage == "missing_parameter":
+        del records["sa_conv_b"], records["anchor.sa_conv_b"]
+    elif damage == "nan_fisher":
+        records["fe_conv1_w"][0, 0, 0, 0] = np.nan
+    else:
+        records["anchor.us_deconv_b"][0] = np.inf
+    write_records(str(ws / "bad.fish"), records.items(), FISH_MAGIC)
+    capsys.readouterr()
+    rc = _run("train-cl", "--config", "cfg.ini", "--data", "a.chds", "--checkpoint", "p1/checkpoint.dasr",
+              "--fisher", "bad.fish", "--out", "cl")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "bad.fish" in err
+    assert not (ws / "cl").exists()
+
+
+def test_gen_snr_defaults_to_the_configured_train_snr(ws):
+    def gen(out, *flags, config="cfg.ini"):
+        assert _run("gen", "--config", config, "--profile", "tdl-a", "--n", "4", "--out", out, *flags) == 0
+        return (ws / out).read_bytes()
+
+    assert gen("default.chds") == gen("ten.chds", "--snr", "10")
+    (ws / "snr3.ini").write_text(_INI.replace("[train]\n", "[train]\ntrain_snr_db = 3\n"))
+    three = gen("three.chds", config="snr3.ini")
+    assert three == gen("three_flag.chds", "--snr", "3")
+    assert three != gen("ten_again.chds")
 
 
 def test_eval_ls_and_model_schemes(ws):

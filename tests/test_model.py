@@ -7,8 +7,9 @@ import chansr.autodiff as ad
 from chansr.autodiff import Tensor
 from chansr.model import (DASR_MAGIC, PARAM_COUNT, PARAM_SPECS, ModelParams,
                           channel_attention, feature_extract, forward, init_params, init_rng,
-                          load_params, read_records, save_params, spatial_attention,
+                          load_params, read_records, save_params, spatial_attention, split_flat,
                           upsample, write_records)
+from chansr.optim import Adam
 
 
 def _params(seed=0):
@@ -25,7 +26,7 @@ def test_parameter_budget():
               (32 * 2 * 25 + 32) + (16 * 32 + 16) + (16 * 16 * 9 + 16) + \
               (32 * 16 + 32) + (32 * 2 * 45 + 2)
     assert PARAM_COUNT == by_hand
-    assert _params().count() == 8599
+    assert _params().flat.data.shape == (8599,)
 
 
 def test_init_deterministic_zero_bias_he_bound():
@@ -58,11 +59,35 @@ def test_params_registry_validation():
     bad = {**arrays, "sa_conv_b": np.array([np.nan], np.float32)}
     with pytest.raises(ValueError):
         ModelParams(bad)
+    # finite in float64, infinite in the float32 the parameters are stored in
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        ModelParams({**arrays, "sa_conv_b": np.array([1e39])})
     p = _params()
     assert list(p.names()) == [n for n, _ in PARAM_SPECS]
     q = p.copy()
     q["fe_conv1_w"].data[0, 0, 0, 0] += 1.0
     assert p["fe_conv1_w"].data[0, 0, 0, 0] != q["fe_conv1_w"].data[0, 0, 0, 0]
+
+
+def test_backward_adam_and_zero_grad_act_on_the_flat_vector():
+    p = _params()
+
+    def views_shared():
+        return all(np.shares_memory(p[n].data, p.flat.data) and np.shares_memory(p[n].grad, p.flat.grad)
+                   for n in p.names())
+
+    x = _x(np.random.default_rng(3), (2, 2, 15, 6))
+    ad.backward(ad.tensor_sum(forward(x, p)))
+    assert views_shared()
+    assert all(np.any(p[n].grad) for n in p.names())  # backward wrote every view of flat.grad
+    before = p.flat.data.copy()
+    Adam(p.flat).step()
+    assert views_shared()
+    assert all(not np.array_equal(p[n].data, old) for n, old in split_flat(before).items())
+    assert not np.any(p.flat.grad)
+    ad.backward(ad.tensor_sum(forward(x, p)))
+    p.flat.zero_grad()
+    assert views_shared() and not any(np.any(p[n].grad) for n in p.names())
 
 
 def test_channel_attention_zero_net_halves_input():

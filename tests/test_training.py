@@ -10,10 +10,12 @@ import chansr.training as training
 from chansr.autodiff import Tensor
 from chansr.channel import OfdmConfig, PilotPattern, load_tdl_profile
 from chansr.config import RunConfig
-from chansr.dataset import DOMAIN_TRAIN, generate_dataset
-from chansr.model import ModelParams, PARAM_SPECS, init_params
+from chansr.dataset import DOMAIN_TRAIN, generate_dataset, planes_from_complex
+from chansr.model import ModelParams, PARAM_SPECS, forward, init_params, split_flat
+from chansr.optim import Adam
 from chansr.training import (FisherDiag, estimate_fisher, ewc_loss, fisher_diagonal,
                              load_fisher, save_fisher, train_task, write_loss_csv)
+from oracles import ewc_graph_oracle
 
 # reduced geometry: 27x10 grid, 3x2 pilots; the stride-(9,5) deconv from a
 # 3x2 input lands exactly on 27x10, so every layer still participates
@@ -34,6 +36,27 @@ def _fisher_like(params, fill=0.0):
     f = {n: np.full(params[n].data.shape, fill, np.float32) for n in params.names()}
     a = {n: params[n].data.copy() for n in params.names()}
     return f, a
+
+
+def _random_fisher(seed):
+    rng = np.random.default_rng(seed)
+    return FisherDiag(fisher={n: rng.uniform(0, 1, s).astype(np.float32) for n, s in PARAM_SPECS},
+                      anchor={n: rng.standard_normal(s).astype(np.float32) for n, s in PARAM_SPECS})
+
+
+def _step_gradients(monkeypatch, params, ds, cfg, fisher=None):
+    """The flat gradient that each Adam step of train_task is handed."""
+    grads = []
+    real_step = Adam.step
+
+    def recording_step(self):
+        grads.append(self.param.grad.copy())
+        real_step(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(Adam, "step", recording_step)
+        train_task(params, ds, cfg, fisher)
+    return grads
 
 
 def test_zero_lr_leaves_parameters_unchanged():
@@ -68,24 +91,26 @@ def test_training_deterministic_in_seed():
 
 
 def test_fisher_diagonal_nonnegative_and_disconnected_zero():
-    a = Tensor(np.array([1.0, -2.0], np.float32), requires_grad=True)
-    b = Tensor(np.array([3.0], np.float32), requires_grad=True)
+    p = _zero_params()
+    a = p["ca_conv2_b"]
+    a.data[...] = [1.0, -2.0]
 
     def make(y):
         def f():
             return ad.mse_loss(a, Tensor(np.array(y, np.float32)))
         return f
 
-    diag = fisher_diagonal([a, b], [make([0.0, 0.0]), make([2.0, -2.0])])
-    assert all(np.all(d >= 0) for d in diag)
-    # b never enters the loss, so its importance is exactly zero
-    assert np.array_equal(diag[1], np.zeros(1))
+    flat = fisher_diagonal(p.flat, [make([0.0, 0.0]), make([2.0, -2.0])])
+    assert flat.shape == (p.flat.data.size,) and np.all(flat >= 0)
+    diag = split_flat(flat)
+    # only ca_conv2_b enters the loss, so every other importance is exactly zero
+    assert all(not np.any(d) for n, d in diag.items() if n != "ca_conv2_b")
     # axis 0 is the batch, so loss_b = mean_i (a_i - y_bi)^2 and the
     # per-coordinate gradient is (a_i - y_bi); fisher = mean_b of its square
     g1, g2 = a.data - np.array([0.0, 0.0]), a.data - np.array([2.0, -2.0])
-    assert np.allclose(diag[0], (g1 ** 2 + g2 ** 2) / 2, atol=1e-6)
+    assert np.allclose(diag["ca_conv2_b"], (g1 ** 2 + g2 ** 2) / 2, atol=1e-6)
     with pytest.raises(ValueError):
-        fisher_diagonal([a], [])
+        fisher_diagonal(p.flat, [])
 
 
 def test_estimate_fisher_deterministic_and_anchored():
@@ -101,6 +126,10 @@ def test_estimate_fisher_deterministic_and_anchored():
         assert p[n].grad is None or not np.any(p[n].grad)
     assert f1.task == "t"
     assert any(np.any(f1.fisher[n] > 0) for n in p.names())
+    # weights that overflow the gradients give no Fisher estimate at all
+    huge = ModelParams({n: p[n].data * 1e10 for n in p.names()})
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        estimate_fisher(huge, ds, cfg)
 
 
 def test_ewc_loss_zero_at_anchor_and_closed_form():
@@ -120,29 +149,63 @@ def test_ewc_loss_zero_at_anchor_and_closed_form():
     assert ewc_loss(p, fd, 1.0).item() == pytest.approx(1.5, abs=1e-6)
 
 
-def test_ewc_loss_gradient_formula():
+def test_ewc_loss_gradient_formula(monkeypatch):
+    # the gradient train_task adds to the reconstruction gradient is alpha * lam * F * (theta - anchor)
     p = init_params(np.random.default_rng(5))
-    rng = np.random.default_rng(6)
-    f = {n: rng.uniform(0, 1, p[n].data.shape).astype(np.float32) for n in p.names()}
-    a = {n: rng.standard_normal(p[n].data.shape).astype(np.float32) for n in p.names()}
-    fd = FisherDiag(fisher=f, anchor=a)
-    lam = 3.0
-    loss = ewc_loss(p, fd, lam)
-    ad.backward(loss)
-    for n in p.names():
-        want = lam * f[n] * (p[n].data - a[n])
-        assert np.allclose(p[n].grad, want, atol=1e-4), n
+    fd = _random_fisher(6)
+    lam, alpha = 3.0, 0.5
+    ds = _tiny_dataset(2)
+    cfg = dict(batch_size=2, epochs=1, clip_norm=0)
+    plain = _step_gradients(monkeypatch, p.copy(), ds, RunConfig(**cfg))[0]
+    with_penalty = _step_gradients(monkeypatch, p.copy(), ds, RunConfig(lam=lam, alpha=alpha, **cfg), fd)[0]
+    f, a = (np.concatenate([named[n].ravel() for n, _ in PARAM_SPECS]) for named in (fd.fisher, fd.anchor))
+    want = alpha * lam * f * (p.flat.data - a)
+    assert np.allclose(with_penalty - plain, want, rtol=1e-4, atol=1e-6 * np.max(np.abs(plain)))
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_flat_penalty_matches_the_graph_oracle_bit_for_bit(monkeypatch, precision):
+    ad.set_default_dtype(precision)
+    dt = ad.default_dtype()
+    p = init_params(np.random.default_rng(5))
+    fd = _random_fisher(6)
+    lam, alpha = 3.0, 0.7
+    graph_params = p.copy()
+    penalty = ewc_graph_oracle(graph_params, fd, lam)
+    value = ewc_loss(p, fd, lam)
+    assert value.dtype == dt and value.shape == ()
+    assert np.array_equal(value, penalty.data)
+
+    # one unclipped step over one sample: the gradient Adam is handed equals the
+    # graph's reconstruction-plus-penalty gradient, rounding included
+    ds = _tiny_dataset(1)
+    grads = _step_gradients(monkeypatch, p, ds, RunConfig(batch_size=1, epochs=1, lam=lam, alpha=alpha,
+                                                          clip_norm=0), fd)
+    x, y = planes_from_complex(ds.h_ls, dtype=dt), planes_from_complex(ds.h_true, dtype=dt)
+    loss_h = ad.mse_loss(forward(Tensor(x), graph_params, y.shape[-2:]), Tensor(y))
+    ad.backward(ad.add(loss_h, ad.mul_elementwise(Tensor(np.asarray(alpha, dt)), penalty)))
+    assert len(grads) == 1
+    assert np.array_equal(grads[0], graph_params.flat.grad)
 
 
 def test_ewc_loss_rejects_mismatched_parameter_set():
+    # a Fisher that does not match the model is refused when the FisherDiag is made
     p = init_params(np.random.default_rng(7))
     f, a = _fisher_like(p, 0.1)
-    del f["sa_conv_b"], a["sa_conv_b"]
-    fd = FisherDiag(fisher=f, anchor=a)
-    with pytest.raises(ValueError):
-        ewc_loss(p, fd, 1.0)
-    with pytest.raises(ValueError):
-        FisherDiag(fisher={"x": np.array([-1.0])}, anchor={"x": np.array([0.0])})
+    FisherDiag(fisher=f, anchor=a)
+    bad = [
+        ({k: v for k, v in f.items() if k != "sa_conv_b"}, a),
+        (f, {k: v for k, v in a.items() if k != "sa_conv_b"}),
+        ({**f, "extra": np.zeros(1, np.float32)}, a),
+        ({**f, "sa_conv_b": np.zeros(2, np.float32)}, a),
+        (f, {**a, "fe_conv2_w": np.zeros((16, 32), np.float32)}),
+        ({**f, "sa_conv_b": np.array([np.nan], np.float32)}, a),
+        (f, {**a, "sa_conv_b": np.array([np.inf], np.float32)}),
+        ({**f, "sa_conv_b": np.array([-1.0], np.float32)}, a),
+    ]
+    for fisher, anchor in bad:
+        with pytest.raises(ValueError):
+            FisherDiag(fisher=fisher, anchor=anchor)
 
 
 def test_lambda_zero_and_alpha_zero_bit_identical_to_plain():
