@@ -1,10 +1,11 @@
 """Grid search for the anchor-penalty weight (lambda) on the two-task protocol.
 
 Trains the network on TDL-A, estimates the Fisher diagonal, then retrains on
-TDL-D once per candidate lambda. Each candidate is scored on the 50/50 mixed
-validation set at the training SNR; the script prints the full table plus the
-naive (lambda 0) and multi-task references and reports the winner. The winner
-is pinned as DEFAULT_EWC_LAMBDA in chansr.training.
+TDL-D once per candidate lambda, the penalty's one weight. Each candidate is
+scored on the 50/50 mixed validation set at the training SNR; the script
+prints the full table plus the naive (lambda 0) and multi-task references and
+reports the winner. The winner is pinned as DEFAULT_EWC_LAMBDA in
+chansr.training. Every other setting is a `RunConfig` default.
 
 Run from the repository root:  python3 scripts/grid_search_lambda.py
 """
@@ -13,7 +14,6 @@ import argparse
 import time
 from dataclasses import replace
 
-from chansr.channel import OfdmConfig, PilotPattern, load_tdl_profile
 from chansr.config import RunConfig
 from chansr.dataset import DOMAIN_TRAIN, DOMAIN_VAL, concat_datasets, generate_dataset
 from chansr.evaluate import model_estimator, nmse, to_db
@@ -36,11 +36,9 @@ def main(argv=None):
     ap.add_argument("--grid", default="1,10,100,1000,10000")
     args = ap.parse_args(argv)
 
-    cfg = OfdmConfig()
-    pat = PilotPattern.from_intervals(cfg, 9, 5)
-    prof_a = load_tdl_profile("tdl-a")
-    prof_d = load_tdl_profile("tdl-d")
     tc = RunConfig(epochs=args.epochs, seed=args.seed)  # batch 128, Adam at 1e-3
+    cfg, pat = tc.ofdm(), tc.pattern()
+    prof_a, prof_d = tc.profile(tc.profile_1), tc.profile(tc.profile_2)
 
     t0 = time.time()
     train_a = generate_dataset(prof_a, cfg, pat, args.snr, args.train_n, args.seed, DOMAIN_TRAIN)

@@ -37,14 +37,13 @@ class OfdmConfig:
     n_f: int = 128
     n_t: int = 28
     delta_f: float = 15e3
-    f_c: float = 2e9
     symbol_duration: float = 1.07 / 15e3  # 1/delta_f plus a 7% cyclic-prefix share
 
     def __post_init__(self):
         if self.n_f < 1 or self.n_t < 1:
             raise ValueError("grid dimensions must be positive")
-        if not (self.delta_f > 0 and self.f_c > 0 and self.symbol_duration > 0):
-            raise ValueError("delta_f, f_c, symbol_duration must be positive")
+        if not (self.delta_f > 0 and self.symbol_duration > 0):
+            raise ValueError("delta_f and symbol_duration must be positive")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Command-line front end: dataset generation, training stages, evaluation.
 
 Subcommands: gen, train, fisher, train-cl, train-multitask, eval,
-report-forgetting. Global flags: --config, --seed, --out, --force,
---precision {f32,f64}, --check. Exit codes: 0 success, 1 usage error,
+report-forgetting. Every command takes --config, --seed and --out; every
+command but gen, which runs no autodiff op, takes --precision {f32,f64} and
+--check; only gen takes --force. Exit codes: 0 success, 1 usage error,
 2 data error (missing/corrupt files), 3 numerical failure.
 
 Each command resolves its settings once (`config.load_config`): defaults,
@@ -54,21 +55,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_global_flags(p: argparse.ArgumentParser) -> None:
+def _add_global_flags(p: argparse.ArgumentParser, autodiff: bool = True) -> None:
     p.add_argument("--config", help="INI config file; flags override file values")
     p.add_argument("--seed", type=int, help="global seed override")
     p.add_argument("--out", help="output file or run directory (default: timestamped under runs/)")
-    p.add_argument("--force", action="store_true", help="allow overwriting existing dataset files")
-    p.add_argument("--precision", choices=("f32", "f64"), help="tensor precision (f64: verification mode)")
-    p.add_argument("--check", action="store_true", help="enable numerical self-checks (exit 3 on failure)")
+    if autodiff:
+        p.add_argument("--precision", choices=("f32", "f64"), help="tensor precision (f64: verification mode)")
+        p.add_argument("--check", action="store_true", help="enable numerical self-checks (exit 3 on failure)")
 
 
 def build_parser() -> _Parser:
     root = _Parser(prog="chansr", description="Pilot-aided channel estimation lab")
     sub = root.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[], help="generate a CHDS dataset file")
-    _add_global_flags(p)
+    p = sub.add_parser("gen", help="generate a CHDS dataset file")
+    _add_global_flags(p, autodiff=False)
+    p.add_argument("--force", action="store_true", help="overwrite an existing dataset file")
     p.add_argument("--profile", required=True, help="tdl-a, tdl-d, or a tap-table path")
     p.add_argument("--snr", dest="train_snr_db", type=float,
                    help="pilot SNR in dB (inf for noiseless; default: [train] train_snr_db)")
@@ -93,7 +95,6 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True, help="checkpoint to continue from")
     p.add_argument("--fisher", required=True, help="Fisher file from the previous task")
     p.add_argument("--lambda", dest="lam", type=float, help="EWC importance override")
-    p.add_argument("--alpha", type=float, help="EWC mixing weight override")
     _add_train_overrides(p)
 
     p = sub.add_parser("train-multitask", help="train on the shuffled union of datasets")
@@ -147,7 +148,7 @@ def _setup(args) -> RunConfig:
     except ValueError as e:
         raise UsageError(str(e)) from e
     ad.set_default_dtype(cfg.precision)
-    ad.set_check_finite(args.check)
+    ad.set_check_finite(getattr(args, "check", False))
     return cfg
 
 
@@ -228,18 +229,20 @@ def cmd_gen(args, cfg: RunConfig, argv) -> int:
     return 0
 
 
-def _finish_training(run_dir, params, trace, cfg, argv) -> None:
+def _finish_training(args, prefix: str, params, trace, cfg, argv) -> str:
+    # made only once training has succeeded, so a failed run leaves no directory behind
+    run_dir = _run_dir(args, prefix)
     save_params(params, os.path.join(run_dir, "checkpoint.dasr"))
     write_loss_csv(os.path.join(run_dir, "loss.csv"), trace)
     _write_provenance(run_dir, cfg, argv)
+    return run_dir
 
 
 def cmd_train(args, cfg: RunConfig, argv) -> int:
     ds = _load_dataset(args.data)
     params = init_params(init_rng(cfg.seed))
-    run_dir = _run_dir(args, "train")
     trace = train_task(params, ds, cfg)
-    _finish_training(run_dir, params, trace, cfg, argv)
+    run_dir = _finish_training(args, "train", params, trace, cfg, argv)
     print(f"trained {cfg.epochs} epochs on {len(ds)} samples; final loss {trace[-1]['loss']:.6e}; "
           f"run dir {run_dir}")
     return 0
@@ -266,10 +269,9 @@ def cmd_train_cl(args, cfg: RunConfig, argv) -> int:
         fd = load_fisher(args.fisher)
     except (OSError, ValueError) as e:
         raise DataError(f"cannot load Fisher file {args.fisher}: {e}") from e
-    run_dir = _run_dir(args, "train-cl")
     trace = train_task(params, ds, cfg, fd)
-    _finish_training(run_dir, params, trace, cfg, argv)
-    print(f"sequential training done (lambda {cfg.lam:g}, alpha {cfg.alpha:g}); run dir {run_dir}")
+    run_dir = _finish_training(args, "train-cl", params, trace, cfg, argv)
+    print(f"sequential training done (lambda {cfg.lam:g}); run dir {run_dir}")
     return 0
 
 
@@ -280,9 +282,8 @@ def cmd_multitask(args, cfg: RunConfig, argv) -> int:
     except ValueError as e:
         raise DataError(str(e)) from e
     params = init_params(init_rng(cfg.seed))
-    run_dir = _run_dir(args, "train-multitask")
     trace = train_task(params, union, cfg)
-    _finish_training(run_dir, params, trace, cfg, argv)
+    run_dir = _finish_training(args, "train-multitask", params, trace, cfg, argv)
     print(f"multi-task training on {len(union)} samples; run dir {run_dir}")
     return 0
 

@@ -7,11 +7,11 @@ union of the tasks' datasets). Its settings are the run's `RunConfig`.
 The reconstruction loss is the batch mean of per-sample squared Frobenius
 error between predicted and true 2-plane grids. Sequential training adds the
 quadratic anchor penalty sum_i (lambda/2) * F_i * (theta_i - anchor_i)^2,
-scaled by alpha; only the product lambda * alpha matters, and when it is 0
-the code path is exactly the plain loop (bit-identical results under a
-shared seed). The penalty stays outside the autodiff graph: its value and
-its gradient are vector ops on `ModelParams.flat`, the gradient added after
-the reconstruction loss's backward pass.
+whose one weight is lambda, as in EWC (Kirkpatrick et al., 2017); at
+lambda = 0 the code path is exactly the plain loop (bit-identical results
+under a shared seed). The penalty stays outside the autodiff graph: its
+value and its gradient are vector ops on `ModelParams.flat`, the gradient
+added after the reconstruction loss's backward pass.
 
 The Fisher diagonal is the mean over fixed-order batches of the squared
 batch-loss gradient. Re-partitioning the dataset (different batch size or
@@ -44,7 +44,7 @@ FISH_MAGIC = b"FISH"
 _SHUFFLE_TAG = 0x53484C  # distinguishes shuffle streams from sample streams
 
 # pinned by scripts/grid_search_lambda.py (see README): lowest mixed-set
-# validation NMSE over the {1, 10, 100, 1000, 10000} grid at alpha = 1
+# validation NMSE over the {1, 10, 100, 1000, 10000} grid
 DEFAULT_EWC_LAMBDA = 10000.0
 
 
@@ -88,10 +88,10 @@ def ewc_loss(params: ModelParams, fisher: FisherDiag, lam: float) -> np.ndarray:
 
 def train_task(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
                fisher: FisherDiag | None = None):
-    """Mini-batch Adam on the reconstruction loss, plus alpha times the anchor penalty
-    when a previous task's Fisher is given and lam * alpha > 0.
+    """Mini-batch Adam on the reconstruction loss, plus the anchor penalty when a
+    previous task's Fisher is given and lam > 0.
 
-    Reads batch_size, epochs, lr, lam, alpha, seed and clip_norm from cfg. Returns the
+    Reads batch_size, epochs, lr, lam, seed and clip_norm from cfg. Returns the
     per-epoch trace: mean loss, and with the penalty also ewc_loss and total_loss.
     """
     if len(ds) < 1:
@@ -100,12 +100,11 @@ def train_task(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
     target = (y_all.shape[-2], y_all.shape[-1])
     flat = params.flat
     opt = Adam(flat, lr=cfg.lr)
-    use_ewc = fisher is not None and cfg.lam * cfg.alpha > 0
+    use_ewc = fisher is not None and cfg.lam > 0
     if use_ewc:
         dt = flat.data.dtype
-        alpha = dt.type(cfg.alpha)
-        # gradient of alpha * penalty: 2 * (alpha * lam/2) * F * (theta - anchor)
-        c_fisher = (alpha * dt.type(cfg.lam / 2.0)) * join_flat(fisher.fisher, dt)
+        # gradient of the penalty: 2 * (lam/2) * F * (theta - anchor)
+        c_fisher = dt.type(cfg.lam / 2.0) * join_flat(fisher.fisher, dt)
         anchor = join_flat(fisher.anchor, dt)
     trace = []
     for epoch in range(cfg.epochs):
@@ -120,7 +119,7 @@ def train_task(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
             value = loss_h.data
             if use_ewc:
                 penalty = ewc_loss(params, fisher, cfg.lam)
-                value = value + alpha * penalty
+                value = value + penalty
                 ewc_sum += penalty.item()
             if not np.isfinite(value):
                 raise FloatingPointError(
@@ -138,7 +137,7 @@ def train_task(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
         row = {"epoch": epoch, "loss": h_sum / n_b}
         if use_ewc:
             row["ewc_loss"] = ewc_sum / n_b
-            row["total_loss"] = (h_sum + ewc_sum * cfg.alpha) / n_b
+            row["total_loss"] = (h_sum + ewc_sum) / n_b
         trace.append(row)
     return trace
 

@@ -97,11 +97,19 @@ def test_gen_unknown_profile_is_data_error(ws, capsys):
 def test_missing_subcommand_and_unknown_flag(ws, capsys):
     assert _run() == 1
     assert _run("gen", "--bogus") == 1
-    capsys.readouterr()
+    # each command takes only the flags it reads
+    for argv in (("gen", "--profile", "tdl-a", "--n", "2", "--precision", "f64"),
+                 ("gen", "--profile", "tdl-a", "--n", "2", "--check"),
+                 ("train", "--data", "a.chds", "--force"),
+                 ("eval", "--scheme", "ls", "--profile", "tdl-a", "--force"),
+                 ("train-cl", "--data", "a.chds", "--checkpoint", "c.dasr", "--fisher", "f.fish", "--alpha", "1")):
+        assert _run(*argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 def test_bad_config_file(ws, capsys):
-    for text, key in (("[ofdm]\nn_f = 27\nmystery = 1\n", "mystery"), ("[ofdm]\ndelta_f = 0\n", "delta_f")):
+    for text, key in (("[ofdm]\nn_f = 27\nmystery = 1\n", "mystery"), ("[ofdm]\ndelta_f = 0\n", "delta_f"),
+                      ("[ofdm]\nf_c = 0\n", "f_c"), ("[train]\nalpha = 1\n", "alpha")):
         (ws / "bad.ini").write_text(text)
         rc = _run("gen", "--config", "bad.ini", "--profile", "tdl-a", "--snr", "10",
                   "--n", "2", "--out", "x.chds")
@@ -345,6 +353,40 @@ def test_none_outside_the_optional_keys_is_a_usage_error(ws, capsys, section, ke
     err = capsys.readouterr().err
     assert "usage error" in err and f"[{section}] {key}" in err
     assert not (ws / "x.chds").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("gen", "--profile", "tdl-a", "--snr", "nan", "--n", "2", "--out", "out"), "train_snr_db"),
+    (("gen", "--profile", "tdl-a", "--snr=-inf", "--n", "2", "--out", "out"), "train_snr_db"),
+    (("eval", "--scheme", "ls", "--profile", "tdl-a", "--snr-list", "nan,10", "--out", "out"), "snr_list"),
+])
+def test_nan_or_minus_inf_snr_is_a_usage_error(ws, capsys, argv, key):
+    assert _run(*argv, "--config", "cfg.ini") == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and key in err
+    assert not (ws / "out").exists()
+
+
+@pytest.mark.parametrize("command", [("train", "--data", "a.chds"),
+                                     ("train-multitask", "--data", "a.chds", "--data", "a.chds")])
+def test_failed_training_leaves_no_run_dir(ws, capsys, command):
+    _gen(ws, "a.chds")
+    with np.errstate(all="ignore"):
+        assert _run(*command, "--config", "cfg.ini", "--lr", "1e30", "--out", "run") == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (ws / "run").exists()
+
+
+def test_outputs_get_the_umask_mode(ws):
+    old = os.umask(0o022)
+    try:
+        _gen(ws, "a.chds")
+        assert _run("train", "--config", "cfg.ini", "--data", "a.chds", "--epochs", "1", "--out", "run") == 0
+    finally:
+        os.umask(old)
+    outputs = [ws / "a.chds"] + sorted((ws / "run").iterdir())
+    assert len(outputs) == 5
+    assert {p.name: p.stat().st_mode & 0o777 for p in outputs} == {p.name: 0o644 for p in outputs}
 
 
 def test_config_ini_records_the_flags_and_reruns_the_run(ws):

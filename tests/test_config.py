@@ -1,9 +1,12 @@
 """Run configuration: one loader for defaults, file and flags; an echo that reads back equal."""
 
+import math
+from dataclasses import fields
+
 import pytest
 
 from chansr.channel import doppler_from_speed
-from chansr.config import RunConfig, load_config
+from chansr.config import _SCHEMA, RunConfig, load_config
 
 
 def _reload(tmp_path, cfg: RunConfig) -> RunConfig:
@@ -32,7 +35,7 @@ def test_bare_config_has_the_reference_values():
     ("", {}),
     ("[ofdm]\nn_f = 27\ndelta_f = 30e3\ncp_fraction = 0.1\n[channel]\nspeed_kmh = 3\n"
      "[eval]\nsnr_list = 0 2.5, 7\n[run]\nseed = 9\n", {}),
-    ("", dict(seed=4, epochs=3, batch_size=8, lr=1 / 3, lam=0.1, alpha=0.7, snr_list=(1 / 3, 5.0), mc=7)),
+    ("", dict(seed=4, epochs=3, batch_size=8, lr=1 / 3, lam=0.1, snr_list=(1 / 3, 5.0), mc=7)),
     ("[train]\nclip_norm = 2.5\n", dict(precision="f64")),
     ("", dict(precision="f64")),
 ])
@@ -41,6 +44,25 @@ def test_echo_reads_back_to_an_equal_config(tmp_path, text, over):
     back = _reload(tmp_path, cfg)
     assert back == cfg
     assert back.echo() == cfg.echo()
+
+
+def test_every_setting_has_exactly_one_ini_section():
+    # RunConfig declares each setting; the schema only places it under a section
+    placed = [name for names in _SCHEMA.values() for name in names]
+    assert sorted(placed) == sorted(f.name for f in fields(RunConfig))
+
+
+def test_echo_of_the_defaults():
+    assert RunConfig().echo() == (
+        "[ofdm]\nn_f = 128\nn_t = 28\ndelta_f = 15000.0\nf_c = 2000000000.0\n"
+        "symbol_duration = 7.133333333333334e-05\ncp_fraction = 0.07\n\n"
+        "[pilot]\nfreq_interval = 9\ntime_interval = 5\n\n"
+        "[channel]\ndelay_spread = 1e-07\nspeed_kmh = 50.0\ndoppler_hz = 92.6566931105978\n"
+        "profile_1 = tdl-a\nprofile_2 = tdl-d\n\n"
+        "[train]\nbatch_size = 128\nepochs = 30\nlr = 0.001\nlambda = 10000.0\nclip_norm = 10.0\n"
+        "train_snr_db = 10.0\n\n"
+        "[eval]\nsnr_list = 0.0,3.0,6.0,9.0,12.0,15.0\nmc = 500\n\n"
+        "[run]\nseed = 0\nprecision = f32\n\n")
 
 
 def test_file_and_flags_overlay_the_defaults_in_order(tmp_path):
@@ -74,12 +96,24 @@ def test_unknown_key_and_bad_values(tmp_path):
 def test_training_settings_validation():
     with pytest.raises(ValueError, match="batch_size must be >= 1"):
         RunConfig(batch_size=0)
-    with pytest.raises(ValueError, match="lambda and alpha must be >= 0"):
+    with pytest.raises(ValueError, match="lambda must be >= 0"):
         RunConfig(lam=-1.0)
-    with pytest.raises(ValueError, match="lambda and alpha must be >= 0"):
-        RunConfig(alpha=-0.5)
     with pytest.raises(ValueError, match="epochs must be >= 0"):
         RunConfig(epochs=-1)
+
+
+@pytest.mark.parametrize("over, key", [
+    (dict(train_snr_db=math.nan), "train_snr_db"),
+    (dict(train_snr_db=-math.inf), "train_snr_db"),
+    (dict(snr_list=(0.0, math.nan)), "snr_list"),
+    (dict(snr_list=(-math.inf, 10.0)), "snr_list"),
+])
+def test_snr_must_be_a_number_of_db_or_inf(over, key):
+    with pytest.raises(ValueError, match=key):
+        RunConfig(**over)
+    # +inf is a noiseless pilot
+    cfg = RunConfig(train_snr_db=math.inf, snr_list=(0.0, math.inf))
+    assert (cfg.train_snr_db, cfg.snr_list[1]) == (math.inf, math.inf)
 
 
 def test_precision_must_be_f32_or_f64(tmp_path):

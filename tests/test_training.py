@@ -150,16 +150,16 @@ def test_ewc_loss_zero_at_anchor_and_closed_form():
 
 
 def test_ewc_loss_gradient_formula(monkeypatch):
-    # the gradient train_task adds to the reconstruction gradient is alpha * lam * F * (theta - anchor)
+    # the gradient train_task adds to the reconstruction gradient is lam * F * (theta - anchor)
     p = init_params(np.random.default_rng(5))
     fd = _random_fisher(6)
-    lam, alpha = 3.0, 0.5
+    lam = 3.0
     ds = _tiny_dataset(2)
     cfg = dict(batch_size=2, epochs=1, clip_norm=0)
     plain = _step_gradients(monkeypatch, p.copy(), ds, RunConfig(**cfg))[0]
-    with_penalty = _step_gradients(monkeypatch, p.copy(), ds, RunConfig(lam=lam, alpha=alpha, **cfg), fd)[0]
+    with_penalty = _step_gradients(monkeypatch, p.copy(), ds, RunConfig(lam=lam, **cfg), fd)[0]
     f, a = (np.concatenate([named[n].ravel() for n, _ in PARAM_SPECS]) for named in (fd.fisher, fd.anchor))
-    want = alpha * lam * f * (p.flat.data - a)
+    want = lam * f * (p.flat.data - a)
     assert np.allclose(with_penalty - plain, want, rtol=1e-4, atol=1e-6 * np.max(np.abs(plain)))
 
 
@@ -169,7 +169,7 @@ def test_flat_penalty_matches_the_graph_oracle_bit_for_bit(monkeypatch, precisio
     dt = ad.default_dtype()
     p = init_params(np.random.default_rng(5))
     fd = _random_fisher(6)
-    lam, alpha = 3.0, 0.7
+    lam = 3.0
     graph_params = p.copy()
     penalty = ewc_graph_oracle(graph_params, fd, lam)
     value = ewc_loss(p, fd, lam)
@@ -179,11 +179,10 @@ def test_flat_penalty_matches_the_graph_oracle_bit_for_bit(monkeypatch, precisio
     # one unclipped step over one sample: the gradient Adam is handed equals the
     # graph's reconstruction-plus-penalty gradient, rounding included
     ds = _tiny_dataset(1)
-    grads = _step_gradients(monkeypatch, p, ds, RunConfig(batch_size=1, epochs=1, lam=lam, alpha=alpha,
-                                                          clip_norm=0), fd)
+    grads = _step_gradients(monkeypatch, p, ds, RunConfig(batch_size=1, epochs=1, lam=lam, clip_norm=0), fd)
     x, y = planes_from_complex(ds.h_ls, dtype=dt), planes_from_complex(ds.h_true, dtype=dt)
     loss_h = ad.mse_loss(forward(Tensor(x), graph_params, y.shape[-2:]), Tensor(y))
-    ad.backward(ad.add(loss_h, ad.mul_elementwise(Tensor(np.asarray(alpha, dt)), penalty)))
+    ad.backward(ad.add(loss_h, penalty))
     assert len(grads) == 1
     assert np.array_equal(grads[0], graph_params.flat.grad)
 
@@ -208,7 +207,7 @@ def test_ewc_loss_rejects_mismatched_parameter_set():
             FisherDiag(fisher=fisher, anchor=anchor)
 
 
-def test_lambda_zero_and_alpha_zero_bit_identical_to_plain():
+def test_lambda_zero_bit_identical_to_plain():
     ds2 = _tiny_dataset(6, seed=1, profile="tdl-d")
     base = init_params(np.random.default_rng(8))
     fisher = estimate_fisher(base, _tiny_dataset(6), RunConfig(batch_size=2))
@@ -216,13 +215,11 @@ def test_lambda_zero_and_alpha_zero_bit_identical_to_plain():
     ref = base.copy()
     train_task(ref, ds2, RunConfig(batch_size=2, epochs=2, lr=1e-3, seed=2))
 
-    for lam, alpha in ((0.0, 1.0), (50.0, 0.0)):
-        p = base.copy()
-        trace = train_task(p, ds2, RunConfig(batch_size=2, epochs=2, lr=1e-3, seed=2,
-                                             lam=lam, alpha=alpha), fisher)
-        for n in p.names():
-            assert p[n].data.tobytes() == ref[n].data.tobytes(), (lam, alpha, n)
-        assert "ewc_loss" not in trace[0]
+    p = base.copy()
+    trace = train_task(p, ds2, RunConfig(batch_size=2, epochs=2, lr=1e-3, seed=2, lam=0.0), fisher)
+    for n in p.names():
+        assert p[n].data.tobytes() == ref[n].data.tobytes(), n
+    assert "ewc_loss" not in trace[0]
 
 
 def test_huge_lambda_pins_important_parameters():
