@@ -17,6 +17,11 @@ Gradient conventions:
 Ops are module functions; a Tensor has no arithmetic operators. Shape
 conventions: image-like ops accept [C,H,W] or batched [B,C,H,W];
 ``mse_loss`` always treats axis 0 as the batch axis.
+
+Ops do not check their outputs for NaN or infinity. Non-finite values are
+caught where a result is consumed: training refuses a non-finite loss,
+the Fisher pass a non-finite estimate, and ``evaluate.nmse`` a non-finite
+NMSE, each with ``FloatingPointError``.
 """
 
 import contextlib
@@ -27,7 +32,6 @@ from . import kernels
 
 _default_dtype = np.float32
 _grad_enabled = True
-_check_finite = False
 
 
 def set_default_dtype(name: str) -> None:
@@ -41,12 +45,6 @@ def set_default_dtype(name: str) -> None:
 
 def default_dtype():
     return _default_dtype
-
-
-def set_check_finite(flag: bool) -> None:
-    """When enabled, every op output is checked for NaN/Inf (FloatingPointError)."""
-    global _check_finite
-    _check_finite = bool(flag)
 
 
 @contextlib.contextmanager
@@ -101,8 +99,6 @@ def _check_same_dtype(*tensors: Tensor) -> None:
 
 
 def _make(data, parents, backward_fn) -> Tensor:
-    if _check_finite and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite values in op output")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None

@@ -2,9 +2,15 @@
 
 Subcommands: gen, train, fisher, train-cl, train-multitask, eval,
 report-forgetting. Every command takes --config, --seed and --out; every
-command but gen, which runs no autodiff op, takes --precision {f32,f64} and
---check; only gen takes --force. Exit codes: 0 success, 1 usage error,
-2 data error (missing/corrupt files), 3 numerical failure.
+command but gen, which runs no autodiff op, takes --precision {f32,f64}; only
+gen takes --force.
+
+`main` alone maps a failure to an exit code: 0 success, 1 usage error (bad
+flags or settings, `UsageError`), 2 data error (any `OSError` or `ValueError`
+a command raises: a missing, corrupt or empty input), 3 numerical failure
+(`FloatingPointError`: a non-finite training loss, Fisher estimate or NMSE).
+Commands call the library directly; `_load` only adds the file's path to the
+message of a load error.
 
 Each command resolves its settings once (`config.load_config`): defaults,
 then the --config file, then the flags whose argparse dest is a RunConfig
@@ -42,14 +48,6 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
-class NumericalError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -61,7 +59,6 @@ def _add_global_flags(p: argparse.ArgumentParser, autodiff: bool = True) -> None
     p.add_argument("--out", help="output file or run directory (default: timestamped under runs/)")
     if autodiff:
         p.add_argument("--precision", choices=("f32", "f64"), help="tensor precision (f64: verification mode)")
-        p.add_argument("--check", action="store_true", help="enable numerical self-checks (exit 3 on failure)")
 
 
 def build_parser() -> _Parser:
@@ -141,14 +138,13 @@ def _setup(args) -> RunConfig:
         # eval's --mc counts trials over all profiles; the setting counts them per profile
         n = len(args.profile)
         if args.mc < 1 or args.mc % n:
-            raise DataError(f"M_c = {args.mc} must be a positive multiple of the profile count {n}")
+            raise ValueError(f"M_c = {args.mc} must be a positive multiple of the profile count {n}")
         over["mc"] = args.mc // n
     try:
         cfg = load_config(args.config, **over)
     except ValueError as e:
         raise UsageError(str(e)) from e
     ad.set_default_dtype(cfg.precision)
-    ad.set_check_finite(getattr(args, "check", False))
     return cfg
 
 
@@ -197,18 +193,12 @@ def _write_provenance(run_dir: str, cfg: RunConfig, argv) -> None:
     atomic_write_text(os.path.join(run_dir, "provenance.txt"), "\n".join(lines) + "\n")
 
 
-def _load_dataset(path: str):
+def _load(load, path: str):
+    """load(path), with the path in the message of any error it raises."""
     try:
-        return load_dataset(path)
+        return load(path)
     except (OSError, ValueError) as e:
-        raise DataError(f"cannot load dataset {path}: {e}") from e
-
-
-def _load_params(path: str):
-    try:
-        return load_params(path)
-    except (OSError, ValueError) as e:
-        raise DataError(f"cannot load checkpoint {path}: {e}") from e
+        raise ValueError(f"cannot load {path}: {e}") from e
 
 
 def cmd_gen(args, cfg: RunConfig, argv) -> int:
@@ -218,12 +208,8 @@ def cmd_gen(args, cfg: RunConfig, argv) -> int:
     out = args.out or f"{os.path.basename(args.profile)}_snr{snr:g}_{args.split}.chds"
     if os.path.exists(out) and not args.force:
         raise UsageError(f"{out} exists; pass --force to overwrite")
-    try:
-        profile = cfg.profile(args.profile)
-        ds = generate_dataset(profile, cfg.ofdm(), cfg.pattern(), snr, args.n,
-                              cfg.seed, _DOMAINS[args.split])
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    profile = cfg.profile(args.profile)
+    ds = generate_dataset(profile, cfg.ofdm(), cfg.pattern(), snr, args.n, cfg.seed, _DOMAINS[args.split])
     save_dataset(ds, out)
     print(f"wrote {out}: {args.n} samples, profile {profile.name}, snr {snr:g} dB, split {args.split}")
     return 0
@@ -239,7 +225,7 @@ def _finish_training(args, prefix: str, params, trace, cfg, argv) -> str:
 
 
 def cmd_train(args, cfg: RunConfig, argv) -> int:
-    ds = _load_dataset(args.data)
+    ds = _load(load_dataset, args.data)
     params = init_params(init_rng(cfg.seed))
     trace = train_task(params, ds, cfg)
     run_dir = _finish_training(args, "train", params, trace, cfg, argv)
@@ -249,8 +235,8 @@ def cmd_train(args, cfg: RunConfig, argv) -> int:
 
 
 def cmd_fisher(args, cfg: RunConfig, argv) -> int:
-    ds = _load_dataset(args.data)
-    params = _load_params(args.checkpoint)
+    ds = _load(load_dataset, args.data)
+    params = _load(load_params, args.checkpoint)
     fd = estimate_fisher(params, ds, cfg, task=args.task_label)
     run_dir = _run_dir(args, "fisher")
     save_fisher(fd, os.path.join(run_dir, "fisher.fish"))
@@ -261,14 +247,11 @@ def cmd_fisher(args, cfg: RunConfig, argv) -> int:
 
 def cmd_train_cl(args, cfg: RunConfig, argv) -> int:
     if not os.path.exists(args.fisher):
-        raise DataError(f"Fisher file not found: {args.fisher}; run the 'fisher' stage on the "
-                        f"previous task's data and checkpoint first")
-    ds = _load_dataset(args.data)
-    params = _load_params(args.checkpoint)
-    try:
-        fd = load_fisher(args.fisher)
-    except (OSError, ValueError) as e:
-        raise DataError(f"cannot load Fisher file {args.fisher}: {e}") from e
+        raise ValueError(f"Fisher file not found: {args.fisher}; run the 'fisher' stage on the "
+                         f"previous task's data and checkpoint first")
+    ds = _load(load_dataset, args.data)
+    params = _load(load_params, args.checkpoint)
+    fd = _load(load_fisher, args.fisher)
     trace = train_task(params, ds, cfg, fd)
     run_dir = _finish_training(args, "train-cl", params, trace, cfg, argv)
     print(f"sequential training done (lambda {cfg.lam:g}); run dir {run_dir}")
@@ -276,11 +259,7 @@ def cmd_train_cl(args, cfg: RunConfig, argv) -> int:
 
 
 def cmd_multitask(args, cfg: RunConfig, argv) -> int:
-    parts = [_load_dataset(p) for p in args.data]
-    try:
-        union = concat_datasets(parts)
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    union = concat_datasets([_load(load_dataset, p) for p in args.data])
     params = init_params(init_rng(cfg.seed))
     trace = train_task(params, union, cfg)
     run_dir = _finish_training(args, "train-multitask", params, trace, cfg, argv)
@@ -293,25 +272,15 @@ def _estimator_for(args, cfg: RunConfig):
         return ls_bilinear_estimator(cfg.pattern(), cfg.ofdm())
     if not args.checkpoint:
         raise UsageError(f"scheme {args.scheme} needs --checkpoint")
-    params = _load_params(args.checkpoint)
+    params = _load(load_params, args.checkpoint)
     return model_estimator(params, cfg.ofdm(), bypass_attention=args.scheme == "model-noattn")
 
 
 def cmd_eval(args, cfg: RunConfig, argv) -> int:
     estimator = _estimator_for(args, cfg)
-    try:
-        profiles = [cfg.profile(p) for p in args.profile]
-    except ValueError as e:
-        raise DataError(str(e)) from e
-    try:
-        report = sweep(estimator, args.scheme, profiles, cfg.snr_list, cfg.mc * len(profiles), cfg.seed,
-                       cfg.ofdm(), cfg.pattern())
-    except ValueError as e:
-        raise DataError(str(e)) from e
-    if args.check:
-        bad = [v for v in report.nmse_linear if not (np.isfinite(v) and v >= 0)]
-        if bad:
-            raise NumericalError(f"NMSE self-check failed: {bad}")
+    profiles = [cfg.profile(p) for p in args.profile]
+    report = sweep(estimator, args.scheme, profiles, cfg.snr_list, cfg.mc * len(profiles), cfg.seed,
+                   cfg.ofdm(), cfg.pattern())
     run_dir = _run_dir(args, "eval")
     write_report_csv(os.path.join(run_dir, "report.csv"), list(report.rows()))
     _write_provenance(run_dir, cfg, argv)
@@ -321,16 +290,13 @@ def cmd_eval(args, cfg: RunConfig, argv) -> int:
 
 def cmd_report_forgetting(args, cfg: RunConfig, argv) -> int:
     schemes = {
-        "post_task1": model_estimator(_load_params(args.post1), cfg.ofdm()),
-        "naive_seq": model_estimator(_load_params(args.naive), cfg.ofdm()),
-        "cl": model_estimator(_load_params(args.cl), cfg.ofdm()),
-        "multitask": model_estimator(_load_params(args.multitask), cfg.ofdm()),
+        "post_task1": model_estimator(_load(load_params, args.post1), cfg.ofdm()),
+        "naive_seq": model_estimator(_load(load_params, args.naive), cfg.ofdm()),
+        "cl": model_estimator(_load(load_params, args.cl), cfg.ofdm()),
+        "multitask": model_estimator(_load(load_params, args.multitask), cfg.ofdm()),
     }
-    try:
-        rows = forgetting_report(schemes, cfg.profile(cfg.profile_1), cfg.profile(cfg.profile_2),
-                                 cfg.snr_list, cfg.mc, cfg.seed, cfg.ofdm(), cfg.pattern())
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    rows = forgetting_report(schemes, cfg.profile(cfg.profile_1), cfg.profile(cfg.profile_2),
+                             cfg.snr_list, cfg.mc, cfg.seed, cfg.ofdm(), cfg.pattern())
     run_dir = _run_dir(args, "forgetting")
     write_report_csv(os.path.join(run_dir, "forgetting.csv"), rows)
     _write_provenance(run_dir, cfg, argv)
@@ -358,10 +324,10 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except DataError as e:
+    except (OSError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError) as e:
+    except FloatingPointError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 

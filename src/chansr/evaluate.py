@@ -1,8 +1,9 @@
 """NMSE metric, SNR sweeps across estimation schemes, and forgetting reports.
 
 NMSE is the trial mean of per-sample ||H - H_hat||_F^2 / ||H||_F^2, reported
-both linear and in dB. Sweeps draw their test sets from a reserved seed
-domain, so evaluation at any SNR never reuses training samples.
+both linear and in dB; a non-finite NMSE raises ``FloatingPointError``.
+Sweeps draw their test sets from a reserved seed domain, so evaluation at any
+SNR never reuses training samples.
 
 Each test sample is drawn once per call (``dataset.draw``); every SNR point
 rescales that sample's stored unit noise (``Draws.at_snr``), which gives the
@@ -44,7 +45,10 @@ def nmse(truth, estimates) -> float:
     power = np.sum(np.abs(truth) ** 2, axis=axes)
     if np.any(power == 0):
         raise ValueError("zero-power truth sample; NMSE undefined")
-    return float(np.mean(err / power))
+    value = float(np.mean(err / power))
+    if not np.isfinite(value):  # an estimate that overflowed or holds NaN
+        raise FloatingPointError(f"non-finite NMSE {value}")
+    return value
 
 
 def to_db(x: float) -> float:

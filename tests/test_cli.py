@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a reduced grid."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import chansr
 from chansr.cli import main
-from chansr.dataset import load_dataset
+from chansr.dataset import CHDS_MAGIC, CHDS_VERSION, load_dataset
 from chansr.model import DASR_MAGIC, load_params, read_records, write_records
 from chansr.training import FISH_MAGIC
 
@@ -101,6 +102,7 @@ def test_missing_subcommand_and_unknown_flag(ws, capsys):
     for argv in (("gen", "--profile", "tdl-a", "--n", "2", "--precision", "f64"),
                  ("gen", "--profile", "tdl-a", "--n", "2", "--check"),
                  ("train", "--data", "a.chds", "--force"),
+                 ("train", "--data", "a.chds", "--check"),
                  ("eval", "--scheme", "ls", "--profile", "tdl-a", "--force"),
                  ("train-cl", "--data", "a.chds", "--checkpoint", "c.dasr", "--fisher", "f.fish", "--alpha", "1")):
         assert _run(*argv) == 1
@@ -309,9 +311,9 @@ def test_eval_corrupt_checkpoint_is_data_error(ws, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-def test_eval_check_flags_numerical_blowup(ws, capsys):
+def test_non_finite_nmse_is_a_numerical_failure_without_a_flag(ws, capsys):
     # finite but absurdly large weights overflow float32 in the forward pass;
-    # --check turns that into exit code 3 instead of silent inf in the report
+    # the non-finite NMSE is exit code 3, never an inf row in a report
     _gen(ws, "a.chds")
     assert _run("train", "--config", "cfg.ini", "--data", "a.chds", "--out", "tr") == 0
     from chansr.model import load_params, save_params
@@ -320,11 +322,16 @@ def test_eval_check_flags_numerical_blowup(ws, capsys):
         if name.endswith("_w"):
             params[name].data[...] = 1e30
     save_params(params, str(ws / "huge.dasr"))
-    rc = _run("eval", "--config", "cfg.ini", "--scheme", "model",
-              "--checkpoint", "huge.dasr", "--profile", "tdl-a",
-              "--out", "ev3", "--mc", "2", "--snr-list", "10", "--check")
-    assert rc == 3
-    assert "numerical" in capsys.readouterr().err
+    capsys.readouterr()
+    huge = ("--post1", "huge.dasr", "--naive", "huge.dasr", "--cl", "huge.dasr", "--multitask", "huge.dasr")
+    for command in (("eval", "--scheme", "model", "--checkpoint", "huge.dasr", "--profile", "tdl-a",
+                     "--snr-list", "10"),
+                    ("report-forgetting", *huge)):
+        with np.errstate(all="ignore"):
+            assert _run(*command, "--config", "cfg.ini", "--mc", "2", "--out", "out") == 3, command
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "NMSE" in err, command
+        assert not (ws / "out").exists(), command
 
 
 def test_seed_flag_overrides_config(ws):
@@ -434,6 +441,66 @@ def test_eval_mc_must_be_a_multiple_of_the_profile_count(ws, capsys):
     assert rc == 2
     assert "M_c = 3 must be a positive multiple of the profile count 2" in capsys.readouterr().err
     assert not (ws / "ev").exists()
+
+
+@pytest.mark.parametrize("section, key", [("ofdm", "n_f"), ("ofdm", "n_t"), ("pilot", "freq_interval"),
+                                          ("pilot", "time_interval"), ("eval", "mc")])
+def test_a_size_below_one_is_a_usage_error(ws, capsys, section, key):
+    (ws / "zero.ini").write_text(f"[{section}]\n{key} = 0\n")
+    rc = _run("eval", "--config", "zero.ini", "--scheme", "ls", "--profile", "tdl-a", "--out", "ev")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and key in err and "Traceback" not in err
+    assert not (ws / "ev").exists()
+
+
+def _trained(ws):
+    """A dataset, a checkpoint trained on it and its Fisher file."""
+    _gen(ws, "a.chds")
+    assert _run("train", "--config", "cfg.ini", "--data", "a.chds", "--epochs", "1", "--out", "tr") == 0
+    assert _run("fisher", "--config", "cfg.ini", "--data", "a.chds", "--checkpoint", "tr/checkpoint.dasr",
+                "--out", "fish") == 0
+    return "a.chds", "tr/checkpoint.dasr", "fish/fisher.fish"
+
+
+_NO_FILE = "missing.input"
+
+
+def _commands(data, ckpt, fish):
+    return {
+        "train": ("train", "--data", data),
+        "fisher": ("fisher", "--data", data, "--checkpoint", ckpt),
+        "train-cl": ("train-cl", "--data", data, "--checkpoint", ckpt, "--fisher", fish),
+        "train-multitask": ("train-multitask", "--data", data, "--data", data),
+        "eval": ("eval", "--scheme", "model", "--checkpoint", ckpt, "--profile", "tdl-a"),
+        "report-forgetting": ("report-forgetting", "--post1", ckpt, "--naive", ckpt, "--cl", ckpt,
+                              "--multitask", ckpt),
+    }
+
+
+@pytest.mark.parametrize("command, missing", [("train", "data"), ("fisher", "ckpt"), ("train-cl", "data"),
+                                              ("train-multitask", "data"), ("eval", "ckpt"),
+                                              ("report-forgetting", "ckpt")])
+def test_a_missing_input_is_a_data_error_that_names_it(ws, capsys, command, missing):
+    inputs = dict(zip(("data", "ckpt", "fish"), _trained(ws)), **{missing: _NO_FILE})
+    capsys.readouterr()
+    assert _run(*_commands(**inputs)[command], "--config", "cfg.ini", "--out", "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and _NO_FILE in err and "Traceback" not in err
+    assert not (ws / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "fisher", "train-multitask"])
+def test_a_zero_sample_dataset_is_a_data_error(ws, capsys, command):
+    _, ckpt, fish = _trained(ws)
+    # a well-formed header (27x10 grid, 3x2 pilots) with no samples after it
+    (ws / "empty.chds").write_bytes(CHDS_MAGIC + struct.pack("<6I", CHDS_VERSION, 0, 27, 10, 3, 2))
+    assert len(load_dataset(ws / "empty.chds")) == 0
+    capsys.readouterr()
+    assert _run(*_commands("empty.chds", ckpt, fish)[command], "--config", "cfg.ini", "--out", "out") == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    assert not (ws / "out").exists()
 
 
 def test_console_entry_point():

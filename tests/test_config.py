@@ -102,6 +102,13 @@ def test_training_settings_validation():
         RunConfig(epochs=-1)
 
 
+@pytest.mark.parametrize("key", ["n_f", "n_t", "freq_interval", "time_interval", "mc"])
+def test_sizes_must_be_at_least_one(key):
+    with pytest.raises(ValueError, match=f"{key} must be >= 1, got 0"):
+        RunConfig(**{key: 0})
+    assert getattr(RunConfig(**{key: 1}), key) == 1
+
+
 @pytest.mark.parametrize("over, key", [
     (dict(train_snr_db=math.nan), "train_snr_db"),
     (dict(train_snr_db=-math.inf), "train_snr_db"),

@@ -34,6 +34,12 @@ def test_nmse_errors():
     bad[1] = 0
     with pytest.raises(ValueError):
         nmse(bad, h)
+    # an estimate that overflowed or holds NaN gives no NMSE, not an inf or nan one
+    for value in (np.inf, np.nan):
+        est = h.copy()
+        est[0, 0, 0] = value
+        with pytest.raises(FloatingPointError, match="non-finite NMSE"):
+            nmse(h, est)
 
 
 def test_nmse_scale_invariance_and_quadratic_error():
