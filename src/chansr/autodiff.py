@@ -167,13 +167,15 @@ def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0  # strict: derivative at 0 is 0
+    # the same bits as np.where(x > 0, x, 0), faster: fmax maps NaN to 0, and adding +0 turns -0 into +0
+    out = np.fmax(x.data, x.data.dtype.type(0))
+    out += 0
 
     def _bw(gout):
         if x.requires_grad:
-            _acc(x, gout * mask)
+            _acc(x, gout * (x.data > 0))  # strict: derivative at 0 is 0
 
-    return _make(np.where(mask, x.data, x.data.dtype.type(0)), (x,), _bw)
+    return _make(out, (x,), _bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -10,7 +10,7 @@ flags or settings, `UsageError`), 2 data error (any `OSError` or `ValueError`
 a command raises: a missing, corrupt or empty input), 3 numerical failure
 (`FloatingPointError`: a non-finite training loss, Fisher estimate or NMSE).
 Commands call the library directly; `_load` only adds the file's path to the
-message of a load error.
+message of a load error, and a dataset with no samples is such an error.
 
 Each command resolves its settings once (`config.load_config`): defaults,
 then the --config file, then the flags whose argparse dest is a RunConfig
@@ -201,6 +201,14 @@ def _load(load, path: str):
         raise ValueError(f"cannot load {path}: {e}") from e
 
 
+def _nonempty_dataset(path: str):
+    # refused here, where the path is known, so that no task of a union goes missing unremarked
+    ds = load_dataset(path)
+    if len(ds) == 0:
+        raise ValueError("empty dataset")
+    return ds
+
+
 def cmd_gen(args, cfg: RunConfig, argv) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
@@ -225,7 +233,7 @@ def _finish_training(args, prefix: str, params, trace, cfg, argv) -> str:
 
 
 def cmd_train(args, cfg: RunConfig, argv) -> int:
-    ds = _load(load_dataset, args.data)
+    ds = _load(_nonempty_dataset, args.data)
     params = init_params(init_rng(cfg.seed))
     trace = train_task(params, ds, cfg)
     run_dir = _finish_training(args, "train", params, trace, cfg, argv)
@@ -235,7 +243,7 @@ def cmd_train(args, cfg: RunConfig, argv) -> int:
 
 
 def cmd_fisher(args, cfg: RunConfig, argv) -> int:
-    ds = _load(load_dataset, args.data)
+    ds = _load(_nonempty_dataset, args.data)
     params = _load(load_params, args.checkpoint)
     fd = estimate_fisher(params, ds, cfg, task=args.task_label)
     run_dir = _run_dir(args, "fisher")
@@ -249,7 +257,7 @@ def cmd_train_cl(args, cfg: RunConfig, argv) -> int:
     if not os.path.exists(args.fisher):
         raise ValueError(f"Fisher file not found: {args.fisher}; run the 'fisher' stage on the "
                          f"previous task's data and checkpoint first")
-    ds = _load(load_dataset, args.data)
+    ds = _load(_nonempty_dataset, args.data)
     params = _load(load_params, args.checkpoint)
     fd = _load(load_fisher, args.fisher)
     trace = train_task(params, ds, cfg, fd)
@@ -259,7 +267,7 @@ def cmd_train_cl(args, cfg: RunConfig, argv) -> int:
 
 
 def cmd_multitask(args, cfg: RunConfig, argv) -> int:
-    union = concat_datasets([_load(load_dataset, p) for p in args.data])
+    union = concat_datasets([_load(_nonempty_dataset, p) for p in args.data])
     params = init_params(init_rng(cfg.seed))
     trace = train_task(params, union, cfg)
     run_dir = _finish_training(args, "train-multitask", params, trace, cfg, argv)

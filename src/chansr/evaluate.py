@@ -8,8 +8,11 @@ SNR never reuses training samples.
 Each test sample is drawn once per call (``dataset.draw``); every SNR point
 rescales that sample's stored unit noise (``Draws.at_snr``), which gives the
 same bits as generating the set afresh at that SNR. The forgetting report
-draws each profile once for the whole report, runs each estimator once per
-profile and SNR, and scores the mixed set from the task1 and task2 estimates.
+draws each profile once for the whole report and sums each profile's truth
+power once. It runs each estimator once per profile and SNR and scores that
+estimate once, as one per-sample ratio vector. The task1 and task2 NMSE are
+the means of those vectors, and the mixed NMSE is the mean of their
+concatenation, which is what scoring the concatenated sets gave.
 
 CSV schema (one row per scheme/profile/SNR):
 ``scheme,profile,snr_db,nmse_linear,nmse_db,mc,seed``. The forgetting report
@@ -34,21 +37,34 @@ from .model import ModelParams, forward
 _EVAL_CHUNK = 128
 
 
-def nmse(truth, estimates) -> float:
-    """(1/M_c) sum ||H - H_hat||_F^2 / ||H||_F^2 over paired sample lists."""
+def _power(truth: np.ndarray) -> np.ndarray:
+    """Per-sample ||H||_F^2; a zero-power sample leaves the NMSE undefined."""
+    power = np.sum(np.abs(truth) ** 2, axis=tuple(range(1, truth.ndim)))
+    if np.any(power == 0):
+        raise ValueError("zero-power truth sample; NMSE undefined")
+    return power
+
+
+def _ratios(truth, estimates, power=None) -> np.ndarray:
+    """Per-sample ||H - H_hat||_F^2 / ||H||_F^2; power is _power(truth) if already known."""
     truth = np.asarray(truth)
     estimates = np.asarray(estimates)
     if truth.shape != estimates.shape or truth.ndim < 1 or truth.shape[0] == 0:
         raise ValueError(f"need equal-length nonempty sample lists, got {truth.shape} vs {estimates.shape}")
-    axes = tuple(range(1, truth.ndim))
-    err = np.sum(np.abs(truth - estimates) ** 2, axis=axes)
-    power = np.sum(np.abs(truth) ** 2, axis=axes)
-    if np.any(power == 0):
-        raise ValueError("zero-power truth sample; NMSE undefined")
-    value = float(np.mean(err / power))
+    err = np.sum(np.abs(truth - estimates) ** 2, axis=tuple(range(1, truth.ndim)))
+    return err / (_power(truth) if power is None else power)
+
+
+def _mean(ratios: np.ndarray) -> float:
+    value = float(np.mean(ratios))
     if not np.isfinite(value):  # an estimate that overflowed or holds NaN
         raise FloatingPointError(f"non-finite NMSE {value}")
     return value
+
+
+def nmse(truth, estimates) -> float:
+    """(1/M_c) sum ||H - H_hat||_F^2 / ||H||_F^2 over paired sample lists."""
+    return _mean(_ratios(truth, estimates))
 
 
 def to_db(x: float) -> float:
@@ -139,17 +155,16 @@ def forgetting_report(schemes: dict, profile_1, profile_2, snr_list, m_c: int,
         raise ValueError(f"M_c = {m_c} must be positive")
     eval_sets = {"task1": (0,), "task2": (1,), "mixed": (0, 1)}  # indices into the two profiles
     draws = [draw(prof, cfg, pattern, m_c, seed, DOMAIN_TEST) for prof in (profile_1, profile_2)]
+    power = [_power(d.h_true) for d in draws]  # at_snr shares h_true across SNRs
     sets_at = {snr: [d.at_snr(snr) for d in draws] for snr in snr_list}
     rows = []
     task1_db = {}
     for label in required:
         lin = {name: [] for name in eval_sets}
         for snr in snr_list:
-            sets = sets_at[snr]
-            est = [schemes[label](ds.h_ls) for ds in sets]
+            ratios = [_ratios(ds.h_true, schemes[label](ds.h_ls), p) for ds, p in zip(sets_at[snr], power)]
             for name, idx in eval_sets.items():
-                lin[name].append(nmse(np.concatenate([sets[i].h_true for i in idx]),
-                                      np.concatenate([est[i] for i in idx])))
+                lin[name].append(_mean(np.concatenate([ratios[i] for i in idx])))
         for name, idx in eval_sets.items():
             rep = EvalReport(scheme=label, profile=name, snr_db=list(snr_list), nmse_linear=lin[name],
                              nmse_db=[to_db(v) for v in lin[name]], mc=m_c * len(idx), seed=seed)

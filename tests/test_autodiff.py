@@ -36,6 +36,33 @@ def test_relu_derivative_at_zero_is_zero():
     assert np.array_equal(x.grad, np.array([0.0, 0.0, 1.0], np.float32))
 
 
+def _relu_cases(dtype):
+    fi = np.finfo(dtype)
+    special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, fi.smallest_subnormal, -fi.smallest_subnormal]
+    rng = np.random.default_rng(11)
+    return np.concatenate([np.array(special, dtype), rng.standard_normal(200).astype(dtype)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grad", [False, True])
+def test_relu_is_bit_identical_to_the_strict_select(dtype, grad, monkeypatch):
+    x = _relu_cases(dtype)
+    t = Tensor(x.copy(), requires_grad=grad, dtype=dtype)
+    if grad:
+        out = ad.relu(t)
+    else:
+        with ad.no_grad():
+            out = ad.relu(t)
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == np.where(x > 0, x, dtype(0)).tobytes()
+    if grad:
+        handed = []  # the gradient relu hands its input, before a leaf's zero buffer adds it
+        monkeypatch.setattr(ad, "_acc", lambda node, g: handed.append(g))
+        gout = np.random.default_rng(12).standard_normal(x.shape).astype(dtype)
+        out._backward(gout)
+        assert handed[0].tobytes() == (gout * (x > 0)).tobytes()
+
+
 def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
 

@@ -490,16 +490,34 @@ def test_a_missing_input_is_a_data_error_that_names_it(ws, capsys, command, miss
     assert not (ws / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "fisher", "train-multitask"])
+@pytest.mark.parametrize("command", ["train", "fisher", "train-multitask", "train-multitask-union"])
 def test_a_zero_sample_dataset_is_a_data_error(ws, capsys, command):
-    _, ckpt, fish = _trained(ws)
+    data, ckpt, fish = _trained(ws)
     # a well-formed header (27x10 grid, 3x2 pilots) with no samples after it
     (ws / "empty.chds").write_bytes(CHDS_MAGIC + struct.pack("<6I", CHDS_VERSION, 0, 27, 10, 3, 2))
     assert len(load_dataset(ws / "empty.chds")) == 0
     capsys.readouterr()
-    assert _run(*_commands("empty.chds", ckpt, fish)[command], "--config", "cfg.ini", "--out", "out") == 2
+    # an empty task next to a full one must not leave the union trained on the full one alone
+    argv = (("train-multitask", "--data", data, "--data", "empty.chds") if command == "train-multitask-union"
+            else _commands("empty.chds", ckpt, fish)[command])
+    assert _run(*argv, "--config", "cfg.ini", "--out", "out") == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "Traceback" not in err
+    assert "data error" in err and "empty.chds" in err and "empty dataset" in err and "Traceback" not in err
+    assert not (ws / "out").exists()
+
+
+def test_report_forgetting_on_a_nan_estimate_is_a_numerical_failure(ws, capsys, monkeypatch):
+    _, ckpt, _ = _trained(ws)
+
+    def nan_estimator(params, cfg, bypass_attention=False):
+        return lambda h_ls: np.full((h_ls.shape[0], cfg.n_f, cfg.n_t), np.nan, np.complex64)
+
+    monkeypatch.setattr("chansr.cli.model_estimator", nan_estimator)
+    capsys.readouterr()
+    rc = _run(*_commands("a.chds", ckpt, "")["report-forgetting"], "--config", "cfg.ini", "--out", "out")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and "non-finite NMSE" in err
     assert not (ws / "out").exists()
 
 

@@ -126,6 +126,33 @@ def test_forgetting_report_rows_and_delta():
         forgetting_report({"cl": est}, p1, p2, [0.0], 2, 0, _CFG, _PAT)
 
 
+def test_forgetting_report_keeps_the_nmse_checks():
+    p1, p2 = load_tdl_profile("tdl-a"), load_tdl_profile("tdl-d")
+    ls = ls_bilinear_estimator(_PAT, _CFG)
+
+    def report(bad):
+        schemes = {"post_task1": ls, "naive_seq": ls, "cl": bad, "multitask": ls}
+        return forgetting_report(schemes, p1, p2, [0.0, 10.0], 3, 0, _CFG, _PAT)
+
+    with pytest.raises(ValueError, match="equal-length nonempty"):
+        report(lambda h_ls: ls(h_ls)[:, :-1])
+    with pytest.raises(ValueError, match="equal-length nonempty"):
+        report(lambda h_ls: ls(h_ls)[:0])
+
+    calls = []
+
+    def nan_in_task2(h_ls):  # the report estimates task1 then task2 at each SNR
+        calls.append(None)
+        est = ls(h_ls)
+        if len(calls) % 2 == 0:
+            est[0, 0, 0] = np.nan
+        return est
+
+    for bad in (nan_in_task2, lambda h_ls: np.full_like(ls(h_ls), np.nan)):
+        with pytest.raises(FloatingPointError, match="non-finite NMSE"):
+            report(bad)
+
+
 def _four_schemes():
     ls = ls_bilinear_estimator(_PAT, _CFG)
     return {"post_task1": model_estimator(init_params(np.random.default_rng(1)), _CFG), "naive_seq": ls,

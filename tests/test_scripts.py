@@ -19,3 +19,20 @@ def test_grid_search_lambda_prints_a_winner(capsys):
     out = capsys.readouterr().out
     assert "winner lambda = 1\n" in out
     assert "lambda        0" in out and "multi-task" in out
+
+
+def _chain(tmp_path, name, capsys):
+    script = _load("artifact_chain")
+    assert script.main([str(tmp_path / name), "--n-a", "8", "--n-d", "6"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_artifact_chain_lists_every_artifact_and_reruns_to_the_same_list(tmp_path, capsys):
+    first = _chain(tmp_path, "a", capsys)
+    assert first == _chain(tmp_path, "b", capsys)
+    paths = [line.split("  ", 1)[1] for line in first]
+    assert all(len(line.split("  ", 1)[0]) == 64 for line in first)
+    assert paths == sorted(paths)
+    for kind in _load("artifact_chain").KINDS:
+        assert any(p.endswith(kind) for p in paths), kind
+    assert "train-cl-lam0/checkpoint.dasr" in paths and "forgetting/forgetting.csv" in paths
