@@ -5,8 +5,9 @@ gen tdl-a (--n-a samples), tdl-d (--n-d) and a 7-sample tdl-a test set at
 5 dB -> train (tdl-a, 2 epochs) -> fisher -> train-cl (tdl-d, 2 epochs) at
 the default lambda and at lambda 0 -> train-multitask (both, 2 epochs) ->
 eval ls on tdl-a (mc 64) and on both profiles (mc 128), eval model on tdl-a
-(mc 64) -> report-forgetting (post-task-I, naive = lambda 0, cl,
-multi-task; mc 77 per profile).
+(mc 64) and on both profiles (mc 154: 77 per profile, one partial
+evaluation chunk each) -> report-forgetting (post-task-I, naive = lambda 0,
+cl, multi-task; mc 77 per profile).
 
 It prints one `sha256  relpath` line per .chds, .dasr, .fish, loss.csv,
 report.csv, forgetting.csv and config.ini under OUT_DIR, sorted by path.
@@ -59,6 +60,8 @@ def run_chain(out: str, n_a: int, n_d: int) -> None:
     run("eval", "--scheme", "ls", "--profile", "tdl-a", "tdl-d", "--mc", "128", dest="eval-ls-ad")
     run("eval", "--scheme", "model", "--checkpoint", ckpt("train"), "--profile", "tdl-a", "--mc", "64",
         dest="eval-model-a")
+    run("eval", "--scheme", "model", "--checkpoint", ckpt("train"), "--profile", "tdl-a", "tdl-d", "--mc", "154",
+        dest="eval-model-ad")
     run("report-forgetting", "--post1", ckpt("train"), "--naive", ckpt("train-cl-lam0"), "--cl", ckpt("train-cl"),
         "--multitask", ckpt("multitask"), "--mc", "77", dest="forgetting")
 

@@ -13,7 +13,7 @@ Tap tables live in data files (``profiles/*.txt``), one tap per line:
 to sum to 1 on load.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -212,14 +212,12 @@ _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 @dataclass
 class PilotObservation:
-    """Pilot symbols, received pilots, unit noise, and the LS estimate slot."""
+    """Pilot symbols, received pilots and the unit noise behind them."""
 
     s_p: np.ndarray  # transmitted unit-modulus pilot symbols
     y_p: np.ndarray  # received pilots
     g: np.ndarray  # unit-variance complex noise draw, scaled by sqrt(sigma2) in y_p
     sigma2: float
-    snr_db: float
-    h_ls: np.ndarray | None = field(default=None)  # filled by ls_estimate
 
 
 def _observe(h_p: np.ndarray, s_p: np.ndarray, g: np.ndarray, snr_db: float) -> PilotObservation:
@@ -229,7 +227,7 @@ def _observe(h_p: np.ndarray, s_p: np.ndarray, g: np.ndarray, snr_db: float) -> 
     """
     sigma2 = 0.0 if np.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
     y_p = s_p * h_p + np.sqrt(sigma2) * g
-    return PilotObservation(s_p=s_p, y_p=y_p, g=g, sigma2=sigma2, snr_db=float(snr_db))
+    return PilotObservation(s_p=s_p, y_p=y_p, g=g, sigma2=sigma2)
 
 
 def make_pilot_observation(h: np.ndarray, pattern: PilotPattern, snr_db: float,
@@ -249,11 +247,10 @@ def make_pilot_observation(h: np.ndarray, pattern: PilotPattern, snr_db: float,
 
 
 def ls_estimate(obs: PilotObservation) -> np.ndarray:
-    """Least-squares pilot estimate: elementwise Y_p / S_p, stored on obs."""
+    """Least-squares pilot estimate: elementwise Y_p / S_p; obs is left unchanged."""
     if np.any(obs.s_p == 0):
         raise ValueError("zero pilot symbol; LS division undefined")
-    obs.h_ls = obs.y_p / obs.s_p
-    return obs.h_ls
+    return obs.y_p / obs.s_p
 
 
 def _interp_axis0(xs: np.ndarray, ys: np.ndarray, x_new: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ flags or settings, `UsageError`), 2 data error (any `OSError` or `ValueError`
 a command raises: a missing, corrupt or empty input), 3 numerical failure
 (`FloatingPointError`: a non-finite training loss, Fisher estimate or NMSE).
 Commands call the library directly; `_load` only adds the file's path to the
-message of a load error, and a dataset with no samples is such an error.
+message of a load error, and a dataset with no samples is such an error. On
+glibc, `main` first sets the heap thresholds once per process (`_keep_heap`).
 
 Each command resolves its settings once (`config.load_config`): defaults,
 then the --config file, then the flags whose argparse dest is a RunConfig
@@ -24,8 +25,11 @@ timestamps; only default directory names do.
 """
 
 import argparse
+import ctypes
 import datetime
+import functools
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import fields
@@ -44,8 +48,41 @@ from .training import estimate_fisher, load_fisher, save_fisher, train_task, wri
 _DOMAINS = {"train": DOMAIN_TRAIN, "val": DOMAIN_VAL, "test": DOMAIN_TEST}
 
 
+# glibc's mallopt parameter numbers (malloc.h) and the values set for them. Every
+# benchmark workload's heap stays below 160 MB, so a trim threshold of 256 MiB never
+# trims it; 1 GiB gave the same peak RSS and faults, and the lower value bounds what
+# a larger run holds back. The largest array a default run frees is about 30 MB
+# (an LS estimate of 512 grids). A 32 MiB mmap threshold gave the same train and
+# eval peak but leaves that array no headroom; 64 MiB keeps arrays twice as large
+# in the heap.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES, _MMAP_BYTES = 256 << 20, 64 << 20
+
+
 class UsageError(Exception):
     pass
+
+
+@functools.cache
+def _keep_heap() -> bool:
+    """Keep freed memory in glibc's heap for reuse; True when both settings were accepted.
+
+    A training step frees its autodiff graph, about 30 MB, and the next step
+    allocates it again. With glibc's default thresholds the free trims the top
+    of the heap or unmaps the large blocks, and the next step faults every
+    page back in. Which blocks get unmapped also follows glibc's dynamic mmap
+    threshold, so peak memory depended on allocation history. The settings
+    decide where memory comes from, never a computed value. Set once per
+    process, and only on glibc: elsewhere this returns False without loading
+    the C library.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    accepted = [mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES), mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)]
+    return accepted == [1, 1]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,7 +175,7 @@ def _setup(args) -> RunConfig:
         # eval's --mc counts trials over all profiles; the setting counts them per profile
         n = len(args.profile)
         if args.mc < 1 or args.mc % n:
-            raise ValueError(f"M_c = {args.mc} must be a positive multiple of the profile count {n}")
+            raise UsageError(f"--mc {args.mc} must be a positive multiple of the profile count {n}")
         over["mc"] = args.mc // n
     try:
         cfg = load_config(args.config, **over)
@@ -325,6 +362,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    _keep_heap()
     try:
         args = build_parser().parse_args(argv)
         cfg = _setup(args)

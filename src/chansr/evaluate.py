@@ -7,12 +7,17 @@ SNR never reuses training samples.
 
 Each test sample is drawn once per call (``dataset.draw``); every SNR point
 rescales that sample's stored unit noise (``Draws.at_snr``), which gives the
-same bits as generating the set afresh at that SNR. The forgetting report
-draws each profile once for the whole report and sums each profile's truth
-power once. It runs each estimator once per profile and SNR and scores that
-estimate once, as one per-sample ratio vector. The task1 and task2 NMSE are
-the means of those vectors, and the mixed NMSE is the mean of their
-concatenation, which is what scoring the concatenated sets gave.
+same bits as generating the set afresh at that SNR. Sweeps and the forgetting
+report score each profile as its own block: the block's truth power is summed
+once for all SNRs (``Draws.at_snr`` shares ``h_true``), each estimate becomes
+one per-sample ratio vector, and a set of several profiles scores as the mean
+of their concatenated vectors, which has the bits of scoring the concatenated
+sets. ``nmse`` takes such per-profile blocks as well as one array pair, so no
+grid is concatenated. The per-sample error and power sums are formed
+``_EVAL_CHUNK`` samples at a time, with the sums a whole-set reduction gives.
+The forgetting report draws each profile once for the whole report, runs each
+estimator once per profile and SNR, and takes its task1, task2 and mixed NMSE
+from the same ratio vectors.
 
 CSV schema (one row per scheme/profile/SNR):
 ``scheme,profile,snr_db,nmse_linear,nmse_db,mc,seed``. The forgetting report
@@ -37,9 +42,24 @@ from .model import ModelParams, forward
 _EVAL_CHUNK = 128
 
 
+def _sq_norms(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Per-sample ||x||_F^2, or ||x - y||_F^2, formed _EVAL_CHUNK samples at a time.
+
+    Each sample's sum is the one a reduction over the whole set gives; the
+    slices only bound the complex and squared-magnitude temporaries to one
+    chunk.
+    """
+    axes = tuple(range(1, x.ndim))
+    sums = []
+    for s in range(0, x.shape[0], _EVAL_CHUNK):
+        d = x[s:s + _EVAL_CHUNK] if y is None else x[s:s + _EVAL_CHUNK] - y[s:s + _EVAL_CHUNK]
+        sums.append(np.sum(np.abs(d) ** 2, axis=axes))
+    return np.concatenate(sums)
+
+
 def _power(truth: np.ndarray) -> np.ndarray:
     """Per-sample ||H||_F^2; a zero-power sample leaves the NMSE undefined."""
-    power = np.sum(np.abs(truth) ** 2, axis=tuple(range(1, truth.ndim)))
+    power = _sq_norms(truth)
     if np.any(power == 0):
         raise ValueError("zero-power truth sample; NMSE undefined")
     return power
@@ -51,8 +71,7 @@ def _ratios(truth, estimates, power=None) -> np.ndarray:
     estimates = np.asarray(estimates)
     if truth.shape != estimates.shape or truth.ndim < 1 or truth.shape[0] == 0:
         raise ValueError(f"need equal-length nonempty sample lists, got {truth.shape} vs {estimates.shape}")
-    err = np.sum(np.abs(truth - estimates) ** 2, axis=tuple(range(1, truth.ndim)))
-    return err / (_power(truth) if power is None else power)
+    return _sq_norms(truth, estimates) / (_power(truth) if power is None else power)
 
 
 def _mean(ratios: np.ndarray) -> float:
@@ -62,9 +81,20 @@ def _mean(ratios: np.ndarray) -> float:
     return value
 
 
-def nmse(truth, estimates) -> float:
-    """(1/M_c) sum ||H - H_hat||_F^2 / ||H||_F^2 over paired sample lists."""
-    return _mean(_ratios(truth, estimates))
+def nmse(truth, estimates, power=None) -> float:
+    """(1/M_c) sum ||H - H_hat||_F^2 / ||H||_F^2 over paired samples.
+
+    truth and estimates are paired sample arrays [M_c, ...], or paired lists
+    of per-profile blocks. Blocks score as their concatenation would, without
+    forming it. power optionally gives each block's _power, summed once by a
+    caller that scores the same truth again.
+    """
+    if not isinstance(truth, (list, tuple)):
+        truth, estimates, power = [truth], [estimates], [power]
+    if not truth or len(estimates) != len(truth):
+        raise ValueError(f"need equal, nonzero block counts, got {len(truth)} vs {len(estimates)}")
+    power = [None] * len(truth) if power is None else power
+    return _mean(np.concatenate([_ratios(t, e, p) for t, e, p in zip(truth, estimates, power)]))
 
 
 def to_db(x: float) -> float:
@@ -90,7 +120,11 @@ def ls_bilinear_estimator(pattern: PilotPattern, cfg: OfdmConfig):
     """Baseline: bilinear interpolation of the LS pilot estimates."""
 
     def estimate(h_ls: np.ndarray) -> np.ndarray:
-        return np.stack([interpolate_bilinear(h_ls[i], pattern, cfg) for i in range(h_ls.shape[0])])
+        # the dtype interpolate_bilinear gives each grid, as np.stack over them would
+        out = np.empty((h_ls.shape[0], cfg.n_f, cfg.n_t), np.result_type(h_ls, np.float64))
+        for i in range(h_ls.shape[0]):
+            out[i] = interpolate_bilinear(h_ls[i], pattern, cfg)
+        return out
 
     return estimate
 
@@ -122,11 +156,11 @@ def sweep(estimator, scheme: str, profiles, snr_list, m_c: int, seed: int,
     if m_c < 1 or m_c % len(profiles) != 0:
         raise ValueError(f"M_c = {m_c} must be a positive multiple of the profile count {len(profiles)}")
     draws = [draw(prof, cfg, pattern, m_c // len(profiles), seed, DOMAIN_TEST) for prof in profiles]
+    power = [_power(d.h_true) for d in draws]  # at_snr shares h_true across SNRs
     lin = []
     for snr in snr_list:
         sets = [d.at_snr(snr) for d in draws]
-        lin.append(nmse(np.concatenate([ds.h_true for ds in sets]),
-                        np.concatenate([estimator(ds.h_ls) for ds in sets])))
+        lin.append(nmse([ds.h_true for ds in sets], [estimator(ds.h_ls) for ds in sets], power))
     return EvalReport(
         scheme=scheme,
         profile="+".join(p.name for p in profiles),

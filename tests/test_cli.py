@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline on a reduced grid."""
 
+import ctypes
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -436,11 +438,14 @@ def test_empty_snr_list_in_a_config_is_a_usage_error(ws, capsys):
 
 
 def test_eval_mc_must_be_a_multiple_of_the_profile_count(ws, capsys):
-    rc = _run("eval", "--config", "cfg.ini", "--scheme", "ls", "--profile", "tdl-a", "tdl-d",
-              "--mc", "3", "--out", "ev")
-    assert rc == 2
-    assert "M_c = 3 must be a positive multiple of the profile count 2" in capsys.readouterr().err
-    assert not (ws / "ev").exists()
+    # a bad flag value is a usage error (exit 1), not a data error
+    for mc in ("3", "0", "-2"):
+        rc = _run("eval", "--config", "cfg.ini", "--scheme", "ls", "--profile", "tdl-a", "tdl-d",
+                  "--mc", mc, "--out", "ev")
+        assert rc == 1, mc
+        err = capsys.readouterr().err
+        assert f"usage error: --mc {mc} must be a positive multiple of the profile count 2" in err
+        assert not (ws / "ev").exists()
 
 
 @pytest.mark.parametrize("section, key", [("ofdm", "n_f"), ("ofdm", "n_t"), ("pilot", "freq_interval"),
@@ -555,3 +560,29 @@ def test_checkpoint_bytes_do_not_depend_on_blas_threads(ws):
         assert out.returncode == 0, out.stderr
         digests.append((ws / f"t{threads}" / "checkpoint.dasr").read_bytes())
     assert digests[0] == digests[1]
+
+
+@pytest.fixture()
+def fresh_heap_setting():
+    chansr.cli._keep_heap.cache_clear()
+    yield chansr.cli._keep_heap
+    chansr.cli._keep_heap.cache_clear()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting applies on glibc only")
+def test_heap_setting_is_accepted_on_glibc(fresh_heap_setting):
+    # True only when glibc accepted both mallopt calls; setting them again is harmless
+    assert fresh_heap_setting() is True
+    fresh_heap_setting.cache_clear()
+    assert fresh_heap_setting() is True
+    assert fresh_heap_setting() is True
+
+
+def test_heap_setting_is_a_no_op_on_another_libc(fresh_heap_setting, monkeypatch):
+    def no_load(*args, **kwargs):
+        raise AssertionError("loaded the C library")
+
+    monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("musl", "1.2.4"))
+    monkeypatch.setattr(ctypes, "CDLL", no_load)
+    assert fresh_heap_setting() is False
+    assert fresh_heap_setting() is False

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import chansr.dataset
-from chansr.channel import OfdmConfig, PilotPattern, load_tdl_profile
+from chansr.channel import OfdmConfig, PilotPattern, interpolate_bilinear, load_tdl_profile
 from chansr.dataset import DOMAIN_TEST, generate_dataset
 from chansr.evaluate import (EvalReport, forgetting_report, ls_bilinear_estimator,
                              model_estimator, nmse, sweep, to_db, write_report_csv)
@@ -53,6 +53,45 @@ def test_nmse_scale_invariance_and_quadratic_error():
     assert nmse(h, h + 0.5 * e) == pytest.approx(v / 4, rel=1e-12)
     assert to_db(1.0) == 0.0
     assert to_db(0.1) == pytest.approx(-10.0)
+
+
+def _whole_set_nmse(truth, est):
+    """The NMSE as one reduction over the concatenated sets, without slicing."""
+    truth, est = np.concatenate(truth), np.concatenate(est)
+    return float(np.mean(np.sum(np.abs(truth - est) ** 2, axis=(1, 2)) / np.sum(np.abs(truth) ** 2, axis=(1, 2))))
+
+
+@pytest.mark.parametrize("shape", [(27, 10), (128, 28)])
+def test_block_nmse_equals_array_nmse_bit_for_bit(shape):
+    # 300 samples per block: more than one scoring slice and not a multiple of it
+    rng = np.random.default_rng(4)
+
+    def grids(dtype):
+        return (rng.standard_normal((300, *shape)) + 1j * rng.standard_normal((300, *shape))).astype(dtype)
+
+    truth = [grids(np.complex64), grids(np.complex64)]
+    for est_dtype in (np.complex64, np.complex128):  # the model's and the LS estimator's output
+        est = [t + 0.3 * grids(est_dtype) for t in truth]
+        whole = _whole_set_nmse(truth, est)
+        assert nmse(np.concatenate(truth), np.concatenate(est)) == whole
+        assert nmse(truth, est) == whole
+        assert nmse(truth, est, [np.sum(np.abs(t) ** 2, axis=(1, 2)) for t in truth]) == whole
+        assert nmse(truth[0], est[0]) == _whole_set_nmse(truth[:1], est[:1])
+    with pytest.raises(ValueError, match="block counts"):
+        nmse(truth, est[:1])
+    with pytest.raises(ValueError, match="block counts"):
+        nmse([], [])
+
+
+def test_ls_estimator_keeps_the_stacked_grids_bytes():
+    est = ls_bilinear_estimator(_PAT, _CFG)
+    rng = np.random.default_rng(3)
+    for dtype in (np.complex64, np.complex128):
+        h_ls = (rng.standard_normal((7, _PAT.n_fp, _PAT.n_tp))
+                + 1j * rng.standard_normal((7, _PAT.n_fp, _PAT.n_tp))).astype(dtype)
+        want = np.stack([interpolate_bilinear(h, _PAT, _CFG) for h in h_ls])
+        got = est(h_ls)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_ls_bilinear_noiseless_flat_channel_is_exact():
@@ -104,6 +143,43 @@ def test_sweep_mixed_profiles_and_mc_validation():
         sweep(est, "ls", profs, [10.0], 5, 0, _CFG, _PAT)
     with pytest.raises(ValueError):
         sweep(est, "ls", profs, [10.0], 0, 0, _CFG, _PAT)
+
+
+def test_mixed_sweep_equals_nmse_on_regenerated_sets():
+    profs = [load_tdl_profile("tdl-a"), load_tdl_profile("tdl-d")]
+    snrs = [0.0, 7.5, np.inf]
+    for est in (ls_bilinear_estimator(_PAT, _CFG), model_estimator(init_params(np.random.default_rng(1)), _CFG)):
+        rep = sweep(est, "x", profs, snrs, 10, 3, _CFG, _PAT)  # 5 samples per profile
+        for snr, got in zip(snrs, rep.nmse_linear):
+            sets = [generate_dataset(p, _CFG, _PAT, snr, 5, 3, DOMAIN_TEST) for p in profs]
+            truth, estimates = [ds.h_true for ds in sets], [est(ds.h_ls) for ds in sets]
+            assert got == nmse(np.concatenate(truth), np.concatenate(estimates))
+            assert got == _whole_set_nmse(truth, estimates)
+
+
+def test_mixed_sweep_keeps_the_nmse_checks():
+    profs = [load_tdl_profile("tdl-a"), load_tdl_profile("tdl-d")]
+    ls = ls_bilinear_estimator(_PAT, _CFG)
+
+    def run(bad):
+        return sweep(bad, "x", profs, [0.0, 10.0], 6, 0, _CFG, _PAT)
+
+    with pytest.raises(ValueError, match="equal-length nonempty"):
+        run(lambda h_ls: ls(h_ls)[:, :-1])
+    with pytest.raises(ValueError, match="equal-length nonempty"):
+        run(lambda h_ls: ls(h_ls)[:0])
+    calls = []
+
+    def nan_in_second_profile(h_ls):
+        calls.append(None)
+        est = ls(h_ls)
+        if len(calls) % 2 == 0:
+            est[0, 0, 0] = np.nan
+        return est
+
+    for bad in (nan_in_second_profile, lambda h_ls: np.full_like(ls(h_ls), np.nan)):
+        with pytest.raises(FloatingPointError, match="non-finite NMSE"):
+            run(bad)
 
 
 def test_forgetting_report_rows_and_delta():
@@ -213,6 +289,12 @@ def test_evaluation_draws_each_sample_once(monkeypatch):
     opened.clear()
     sweep(ls_bilinear_estimator(_PAT, _CFG), "ls", [p1], snrs, 6, 7, _CFG, _PAT)
     assert len(opened) == 6
+    # a mixed sweep: one estimator call per profile and SNR, one stream per sample
+    opened.clear()
+    calls.clear()
+    sweep(counting("ls", ls_bilinear_estimator(_PAT, _CFG)), "ls", [p1, p2], snrs, 6, 7, _CFG, _PAT)
+    assert calls == {"ls": 2 * len(snrs)}
+    assert len(opened) == 6 and len(set(opened)) == 6
 
 
 def test_report_csv_bytes_stable(tmp_path):

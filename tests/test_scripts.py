@@ -35,4 +35,6 @@ def test_artifact_chain_lists_every_artifact_and_reruns_to_the_same_list(tmp_pat
     assert paths == sorted(paths)
     for kind in _load("artifact_chain").KINDS:
         assert any(p.endswith(kind) for p in paths), kind
-    assert "train-cl-lam0/checkpoint.dasr" in paths and "forgetting/forgetting.csv" in paths
+    for path in ("train-cl-lam0/checkpoint.dasr", "eval-ls-ad/report.csv", "eval-model-ad/report.csv",
+                 "forgetting/forgetting.csv"):
+        assert path in paths, path
