@@ -15,8 +15,9 @@ Gradient conventions:
   first maximal element in row-major order.
 
 Ops are module functions; a Tensor has no arithmetic operators. Shape
-conventions: image-like ops accept [C,H,W] or batched [B,C,H,W];
-``mse_loss`` always treats axis 0 as the batch axis.
+conventions: convolutions take batched [B,C,H,W] only; the other image-like
+ops work on the trailing [C,H,W] axes of a 3-D or 4-D tensor; ``mse_loss``
+always treats axis 0 as the batch axis.
 
 Ops do not check their outputs for NaN or infinity. Non-finite values are
 caught where a result is consumed: training refuses a non-finite loss,
@@ -179,12 +180,9 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    s = np.empty_like(d)
-    pos = d >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    s[~pos] = e / (1.0 + e)
+    # each branch divides by 1 + e with e = exp(-|x|) <= 1, so neither overflows
+    e = np.exp(-np.abs(x.data))
+    s = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def _bw(gout):
         if x.requires_grad:
@@ -202,54 +200,34 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# image-shaped ops ([C,H,W] or [B,C,H,W])
+# image-shaped ops ([.,C,H,W]; convolutions [B,C,H,W] only)
 # ---------------------------------------------------------------------------
 
-def _lift4d(data):
-    if data.ndim == 3:
-        return data[None], True
-    if data.ndim == 4:
-        return data, False
-    raise ValueError(f"expected 3-D or 4-D tensor, got shape {data.shape}")
+def _kernel_op(forward, backward, x: Tensor, w: Tensor, bias: Tensor, *args) -> Tensor:
+    """One node over a kernels forward/backward pair; the kernels check the shapes."""
+    _check_same_dtype(x, w, bias)
+
+    def _bw(gout):
+        dx, dw, db = backward(x.data, w.data, gout, *args, need_dx=x.requires_grad)
+        if x.requires_grad:
+            _acc(x, dx)
+        if w.requires_grad:
+            _acc(w, dw)
+        if bias.requires_grad:
+            _acc(bias, db)
+
+    return _make(forward(x.data, w.data, bias.data, *args), (x, w, bias), _bw)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """Same-padded stride-1 cross-correlation: [.,C_in,H,W] -> [.,C_out,H,W]."""
-    _check_same_dtype(x, w, bias)
-    xd, squeezed = _lift4d(x.data)
-    y = kernels.conv2d_forward(xd, w.data, bias.data)
-
-    def _bw(gout):
-        dy = gout[None] if squeezed else gout
-        dx, dw, db = kernels.conv2d_backward(xd, w.data, np.ascontiguousarray(dy), need_dx=x.requires_grad)
-        if x.requires_grad:
-            _acc(x, dx[0] if squeezed else dx)
-        if w.requires_grad:
-            _acc(w, dw)
-        if bias.requires_grad:
-            _acc(bias, db)
-
-    return _make(y[0] if squeezed else y, (x, w, bias), _bw)
+    """Same-padded stride-1 cross-correlation: [B,C_in,H,W] -> [B,C_out,H,W]."""
+    return _kernel_op(kernels.conv2d_forward, kernels.conv2d_backward, x, w, bias)
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
-    """Fractionally strided convolution: [.,C_in,h,w] -> [.,C_out,(h-1)sH+kH,(w-1)sW+kW]."""
-    _check_same_dtype(x, w, bias)
+    """Fractionally strided convolution: [B,C_in,h,w] -> [B,C_out,(h-1)sH+kH,(w-1)sW+kW]."""
     stride = (int(stride[0]), int(stride[1]))
-    xd, squeezed = _lift4d(x.data)
-    y = kernels.deconv2d_forward(xd, w.data, bias.data, stride)
-
-    def _bw(gout):
-        dy = gout[None] if squeezed else gout
-        dx, dw, db = kernels.deconv2d_backward(xd, w.data, np.ascontiguousarray(dy), stride, need_dx=x.requires_grad)
-        if x.requires_grad:
-            _acc(x, dx[0] if squeezed else dx)
-        if w.requires_grad:
-            _acc(w, dw)
-        if bias.requires_grad:
-            _acc(bias, db)
-
-    return _make(y[0] if squeezed else y, (x, w, bias), _bw)
+    return _kernel_op(kernels.deconv2d_forward, kernels.deconv2d_backward, x, w, bias, stride)
 
 
 def crop2d(x: Tensor, height: int, width: int) -> Tensor:
@@ -266,63 +244,61 @@ def crop2d(x: Tensor, height: int, width: int) -> Tensor:
     return _make(np.ascontiguousarray(x.data[..., :height, :width]), (x,), _bw)
 
 
+def _image(x: Tensor):
+    if x.data.ndim not in (3, 4):
+        raise ValueError(f"expected 3-D or 4-D tensor, got shape {x.shape}")
+    return x.data
+
+
 def pool_spatial(x: Tensor, kind: str) -> Tensor:
     """Reduce [.,C,H,W] over H and W to [.,C]; kind 'max' or 'avg'."""
-    xd, _ = _lift4d(x.data)
-    B, C, H, W = xd.shape
-    flat = xd.reshape(B, C, H * W)
-    squeezed = x.data.ndim == 3
+    xd = _image(x)
+    flat = xd.reshape(*xd.shape[:-2], -1)
     if kind == "avg":
-        data = flat.mean(axis=2)
+        data = flat.mean(axis=-1)
 
         def _bw(gout):
             if x.requires_grad:
-                g = gout.reshape(B, C)[:, :, None, None] / x.data.dtype.type(H * W)
-                g = np.broadcast_to(g, xd.shape)
-                _acc(x, g[0] if squeezed else g)
+                _acc(x, np.broadcast_to((gout / xd.dtype.type(flat.shape[-1]))[..., None, None], xd.shape))
 
     elif kind == "max":
-        idx = flat.argmax(axis=2)  # first maximum in row-major order
-        data = np.take_along_axis(flat, idx[:, :, None], axis=2)[:, :, 0]
+        idx = flat.argmax(axis=-1)[..., None]  # first maximum in row-major order
+        data = np.take_along_axis(flat, idx, axis=-1)[..., 0]
 
         def _bw(gout):
             if x.requires_grad:
-                g = np.zeros((B, C, H * W), dtype=x.data.dtype)
-                np.put_along_axis(g, idx[:, :, None], gout.reshape(B, C, 1), axis=2)
-                g = g.reshape(xd.shape)
-                _acc(x, g[0] if squeezed else g)
+                g = np.zeros_like(flat)
+                np.put_along_axis(g, idx, gout[..., None], axis=-1)
+                _acc(x, g.reshape(xd.shape))
 
     else:
         raise ValueError(f"pool kind must be 'max' or 'avg', got {kind!r}")
-    return _make(data[0] if squeezed else data, (x,), _bw)
+    return _make(data, (x,), _bw)
 
 
 def pool_channel(x: Tensor, kind: str) -> Tensor:
     """Reduce [.,C,H,W] over the channel axis to [.,1,H,W]; kind 'max' or 'avg'."""
-    xd, _ = _lift4d(x.data)
-    B, C, H, W = xd.shape
-    squeezed = x.data.ndim == 3
+    xd = _image(x)
     if kind == "avg":
-        data = xd.mean(axis=1, keepdims=True)
+        data = xd.mean(axis=-3, keepdims=True)
 
         def _bw(gout):
             if x.requires_grad:
-                g = np.broadcast_to(gout.reshape(B, 1, H, W) / x.data.dtype.type(C), xd.shape)
-                _acc(x, g[0] if squeezed else g)
+                _acc(x, np.broadcast_to(gout / xd.dtype.type(xd.shape[-3]), xd.shape))
 
     elif kind == "max":
-        idx = xd.argmax(axis=1, keepdims=True)  # first maximum along channels
-        data = np.take_along_axis(xd, idx, axis=1)
+        idx = xd.argmax(axis=-3, keepdims=True)  # first maximum along channels
+        data = np.take_along_axis(xd, idx, axis=-3)
 
         def _bw(gout):
             if x.requires_grad:
                 g = np.zeros_like(xd)
-                np.put_along_axis(g, idx, gout.reshape(B, 1, H, W), axis=1)
-                _acc(x, g[0] if squeezed else g)
+                np.put_along_axis(g, idx, gout, axis=-3)
+                _acc(x, g)
 
     else:
         raise ValueError(f"pool kind must be 'max' or 'avg', got {kind!r}")
-    return _make(data[0] if squeezed else data, (x,), _bw)
+    return _make(data, (x,), _bw)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

@@ -216,8 +216,7 @@ class PilotObservation:
 
     s_p: np.ndarray  # transmitted unit-modulus pilot symbols
     y_p: np.ndarray  # received pilots
-    g: np.ndarray  # unit-variance complex noise draw, scaled by sqrt(sigma2) in y_p
-    sigma2: float
+    g: np.ndarray  # unit-variance complex noise draw, scaled by sigma in y_p
 
 
 def _observe(h_p: np.ndarray, s_p: np.ndarray, g: np.ndarray, snr_db: float) -> PilotObservation:
@@ -227,7 +226,7 @@ def _observe(h_p: np.ndarray, s_p: np.ndarray, g: np.ndarray, snr_db: float) -> 
     """
     sigma2 = 0.0 if np.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
     y_p = s_p * h_p + np.sqrt(sigma2) * g
-    return PilotObservation(s_p=s_p, y_p=y_p, g=g, sigma2=sigma2)
+    return PilotObservation(s_p=s_p, y_p=y_p, g=g)
 
 
 def make_pilot_observation(h: np.ndarray, pattern: PilotPattern, snr_db: float,

@@ -62,11 +62,9 @@ class RunConfig:
             raise ValueError(f"train_snr_db must be a number of dB or inf, got {self.train_snr_db}")
         if not all(v > -math.inf for v in self.snr_list):
             raise ValueError(f"snr_list entries must be numbers of dB or inf, got {self.snr_list}")
-        for name in ("n_f", "n_t", "freq_interval", "time_interval", "mc", "batch_size"):
+        for name in ("n_f", "n_t", "freq_interval", "time_interval", "mc", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
         if self.precision not in ("f32", "f64"):

@@ -145,8 +145,7 @@ def backend_name():
 def conv2d_forward(x, w, bias):
     _check_conv_args(x, w, bias)
     y = _conv(x, w)
-    if bias is not None:
-        y += bias[None, :, None, None]
+    y += bias[None, :, None, None]
     return y
 
 
@@ -182,8 +181,7 @@ def deconv2d_forward(x, w, bias, stride):
     # x: [B, Ci, h, w] . w: [Ci, Co, kh, kw] -> [B, h, w, Co, kh, kw]
     t = np.tensordot(x, w, axes=([1], [0]))
     y = _subpixel_shuffle(t) if tuple(stride) == w.shape[2:] else np.ascontiguousarray(_scatter_add(t, stride))
-    if bias is not None:
-        y += bias[None, :, None, None]
+    y += bias[None, :, None, None]
     return y
 
 

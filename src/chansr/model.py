@@ -4,7 +4,8 @@ Stage order: channel attention -> spatial attention -> feature extraction with
 a residual link -> transposed-convolution upsampling with a top-left crop.
 Input is the LS pilot estimate as [2, N_f_p, N_t_p] real/imag planes (plane 0
 real, plane 1 imaginary); output is the full [2, N_f, N_t] grid in the same
-convention. All stages accept an optional leading batch axis.
+convention. Every stage takes a batch: [B, 2, N_f_p, N_t_p] in,
+[B, 2, N_f, N_t] out.
 
 The parameter set and its order are fixed. `ModelParams` keeps the values,
 and the gradients, as one vector each in that order, with a named view per
@@ -105,7 +106,8 @@ class ModelParams:
         return [self._tensors[name] for name, _ in PARAM_SPECS]
 
     def copy(self) -> "ModelParams":
-        return ModelParams({n: t.data.copy() for n, t in self._tensors.items()})
+        # from the Tensors, so the copy keeps their dtype; join_flat makes a new vector
+        return ModelParams(self._tensors)
 
 
 def init_rng(seed: int) -> np.random.Generator:
@@ -161,12 +163,12 @@ def upsample(x: Tensor, params: ModelParams, target) -> Tensor:
 
 
 def forward(x: Tensor, params: ModelParams, target=(128, 28), bypass_attention: bool = False) -> Tensor:
-    """Full pipeline [., 2, N_f_p, N_t_p] -> [., 2, N_f, N_t].
+    """Full pipeline [B, 2, N_f_p, N_t_p] -> [B, 2, N_f, N_t].
 
     bypass_attention skips both gates (plain SR network, used for ablation).
     """
-    if x.data.shape[-3] != 2:
-        raise ValueError(f"expected 2 input planes, got shape {x.shape}")
+    if x.data.ndim != 4 or x.data.shape[1] != 2:
+        raise ValueError(f"expected [B, 2, N_f_p, N_t_p] input, got shape {x.shape}")
     if not bypass_attention:
         x = spatial_attention(channel_attention(x, params), params)
     return upsample(feature_extract(x, params), params, target)

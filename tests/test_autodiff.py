@@ -74,6 +74,33 @@ def test_sigmoid_extreme_inputs_are_finite():
     assert out.data[1] == pytest.approx(1.0)
 
 
+def _masked_sigmoid(d):
+    """The sigmoid split by boolean masks into its two non-overflowing branches."""
+    s = np.empty_like(d)
+    pos = d >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    e = np.exp(d[~pos])
+    s[~pos] = e / (1.0 + e)
+    return s
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+def test_sigmoid_is_bit_identical_to_the_masked_branches(dtype, bits):
+    fi = np.finfo(dtype)
+    special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, fi.smallest_subnormal, -fi.smallest_subnormal,
+               fi.tiny, -fi.tiny, fi.max, -fi.max]
+    rng = np.random.default_rng(13)
+    # random bit patterns reach every exponent, NaN payloads included
+    x = np.concatenate([np.array(special, dtype), rng.standard_normal(4000).astype(dtype) * 30,
+                        rng.integers(0, np.iinfo(bits).max, 20000, dtype=bits, endpoint=True).view(dtype)])
+    with np.errstate(invalid="ignore"):  # exp flags a signalling NaN in either form
+        got, want = ad.sigmoid(Tensor(x, dtype=dtype)).data, _masked_sigmoid(x)
+    assert got.dtype == dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan) and np.isnan(got[2:4]).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_scale_channels_constant_input():
     x = Tensor(np.ones((2, 2, 2)))
     g = Tensor(np.array([0.5, 2.0]))
@@ -101,6 +128,34 @@ def test_pool_reductions_match_loop_oracle():
             assert np.allclose(got, pool_spatial_oracle(x, kind))
             got = ad.pool_channel(Tensor(x, dtype=np.float64), kind).data
             assert np.allclose(got, pool_channel_oracle(x, kind))
+
+
+@pytest.mark.parametrize("op", [ad.pool_spatial, ad.pool_channel])
+@pytest.mark.parametrize("kind", ["max", "avg"])
+def test_pooling_one_sample_equals_pooling_it_as_a_batch_of_one(op, kind):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((3, 9, 7)).astype(np.float32)
+    x[:, 4, 4] = 5.0  # a tie along channels
+    x[1, 2, 3] = x[1, 5, 6] = 6.0  # a tie within one plane
+
+    def pooled(data, weight):
+        t = Tensor(data, requires_grad=True)
+        out = op(t, kind)
+        ad.backward(ad.tensor_sum(ad.mul_elementwise(out, Tensor(weight))))
+        return out.data, t.grad
+
+    weight = rng.standard_normal(op(Tensor(x), kind).shape)  # an uneven output gradient
+    out3, grad3 = pooled(x, weight)
+    out4, grad4 = pooled(x[None], weight[None])
+    assert out3.tobytes() == out4[0].tobytes()
+    assert grad3.tobytes() == grad4[0].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (1, 1, 2, 4, 5)])
+def test_pooling_refuses_other_ranks(shape):
+    for op in (ad.pool_spatial, ad.pool_channel):
+        with pytest.raises(ValueError, match="3-D or 4-D"):
+            op(Tensor(np.ones(shape)), "avg")
 
 
 def test_max_pool_gradient_goes_to_first_max_row_major():
@@ -207,7 +262,7 @@ def test_dtype_mismatch_raises():
 
 def test_conv2d_identity_kernel_is_exact():
     rng = np.random.default_rng(6)
-    x = Tensor(rng.standard_normal((1, 5, 4)).astype(np.float32))
+    x = Tensor(rng.standard_normal((1, 1, 5, 4)).astype(np.float32))
     w = Tensor(np.ones((1, 1, 1, 1), np.float32))
     b = Tensor(np.zeros(1, np.float32))
     out = ad.conv2d(x, w, b)
@@ -215,27 +270,35 @@ def test_conv2d_identity_kernel_is_exact():
 
 
 def test_conv2d_zero_input_gives_bias():
-    x = Tensor(np.zeros((2, 3, 4)))
+    x = Tensor(np.zeros((1, 2, 3, 4)))
     w = Tensor(np.ones((3, 2, 3, 3)) * 0.7)
     b = Tensor(np.array([1.0, -2.0, 0.5]))
     out = ad.conv2d(x, w, b)
     for c, v in enumerate([1.0, -2.0, 0.5]):
-        assert np.allclose(out.data[c], v)
+        assert np.allclose(out.data[0, c], v)
 
 
 def test_conv2d_transpose_single_pixel():
     v = 1.75
-    x = Tensor(np.full((1, 1, 1), v))
+    x = Tensor(np.full((1, 1, 1, 1), v))
     k = np.arange(6.0).reshape(1, 1, 2, 3)
     out = ad.conv2d_transpose(x, Tensor(k), Tensor(np.zeros(1)), (1, 1))
-    assert np.allclose(out.data, v * k[0])
+    assert np.allclose(out.data, v * k)
 
 
 def test_conv2d_transpose_lattice_shape():
-    x = Tensor(np.zeros((2, 15, 6)))
+    x = Tensor(np.zeros((1, 2, 15, 6)))
     w = Tensor(np.zeros((2, 2, 9, 5)))
     out = ad.conv2d_transpose(x, w, Tensor(np.zeros(2)), (9, 5))
-    assert out.data.shape == (2, 135, 30)
+    assert out.data.shape == (1, 2, 135, 30)
+
+
+def test_convolutions_refuse_an_input_without_a_batch_axis():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="4-D"):
+        ad.conv2d(x, Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros(1)))
+    with pytest.raises(ValueError, match="4-D"):
+        ad.conv2d_transpose(x, Tensor(np.zeros((2, 1, 2, 2))), Tensor(np.zeros(1)), (2, 2))
 
 
 def test_crop2d_and_gradient():

@@ -141,7 +141,6 @@ def test_pilot_observation_shapes_and_noiseless():
     assert np.allclose(np.abs(obs.s_p), 1.0)
     h_p = h[np.ix_(pat.p_f, pat.p_t)]
     assert np.array_equal(obs.y_p, obs.s_p * h_p)
-    assert obs.sigma2 == 0.0
 
 
 def test_noise_power_matches_snr():

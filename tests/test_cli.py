@@ -167,6 +167,14 @@ def test_train_epoch_override_and_missing_data(ws, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_zero_epochs_is_a_usage_error_and_leaves_no_run_directory(ws, capsys):
+    _gen(ws, "a.chds")
+    for command in (("train", "--data", "a.chds"), ("train-multitask", "--data", "a.chds", "--data", "a.chds")):
+        assert _run(*command, "--config", "cfg.ini", "--epochs", "0", "--out", "run") == 1
+        assert "epochs must be >= 1, got 0" in capsys.readouterr().err
+        assert not (ws / "run").exists()
+
+
 def test_train_at_f64_precision(ws):
     # f64 trains in float64 and unclipped unless clip_norm is set, but the checkpoint's
     # records stay float32, so what the next command loads is rounded (README, Reproducibility)
@@ -449,7 +457,7 @@ def test_eval_mc_must_be_a_multiple_of_the_profile_count(ws, capsys):
 
 
 @pytest.mark.parametrize("section, key", [("ofdm", "n_f"), ("ofdm", "n_t"), ("pilot", "freq_interval"),
-                                          ("pilot", "time_interval"), ("eval", "mc")])
+                                          ("pilot", "time_interval"), ("eval", "mc"), ("train", "epochs")])
 def test_a_size_below_one_is_a_usage_error(ws, capsys, section, key):
     (ws / "zero.ini").write_text(f"[{section}]\n{key} = 0\n")
     rc = _run("eval", "--config", "zero.ini", "--scheme", "ls", "--profile", "tdl-a", "--out", "ev")

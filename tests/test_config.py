@@ -98,8 +98,8 @@ def test_training_settings_validation():
         RunConfig(batch_size=0)
     with pytest.raises(ValueError, match="lambda must be >= 0"):
         RunConfig(lam=-1.0)
-    with pytest.raises(ValueError, match="epochs must be >= 0"):
-        RunConfig(epochs=-1)
+    with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
+        RunConfig(epochs=0)
 
 
 @pytest.mark.parametrize("key", ["n_f", "n_t", "freq_interval", "time_interval", "mc"])

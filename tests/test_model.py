@@ -16,7 +16,7 @@ def _params(seed=0):
     return init_params(np.random.default_rng(seed))
 
 
-def _x(rng, shape=(2, 15, 6)):
+def _x(rng, shape=(1, 2, 15, 6)):
     return Tensor(rng.standard_normal(shape).astype(np.float32))
 
 
@@ -69,6 +69,18 @@ def test_params_registry_validation():
     assert p["fe_conv1_w"].data[0, 0, 0, 0] != q["fe_conv1_w"].data[0, 0, 0, 0]
 
 
+def test_params_copy_keeps_dtype_and_bytes_across_a_default_switch():
+    ad.set_default_dtype("f64")
+    p = _params(12)
+    ad.set_default_dtype("f32")
+    before = p.flat.data.tobytes()
+    q = p.copy()
+    assert q.flat.dtype == np.float64 and q["fe_conv1_w"].dtype == np.float64
+    assert q.flat.data.tobytes() == before
+    q["fe_conv1_w"].data[...] += 1.0
+    assert p.flat.data.tobytes() == before
+
+
 def test_backward_adam_and_zero_grad_act_on_the_flat_vector():
     p = _params()
 
@@ -114,10 +126,10 @@ def test_spatial_attention_hand_gate():
     p["sa_conv_w"].data[...] = 0.0
     p["sa_conv_w"].data[0, 0, 3, 3] = 1.0
     p["sa_conv_b"].data[...] = 0.0
-    x = _x(np.random.default_rng(2), (3, 5, 5))
+    x = _x(np.random.default_rng(2), (1, 3, 5, 5))
     y = spatial_attention(x, p)
-    gate = 1.0 / (1.0 + np.exp(-x.data.max(axis=0)))
-    assert np.allclose(y.data, x.data * gate[None], atol=1e-6)
+    gate = 1.0 / (1.0 + np.exp(-x.data.max(axis=1)))
+    assert np.allclose(y.data, x.data * gate[:, None], atol=1e-6)
 
 
 def test_attention_gates_are_contractive():
@@ -143,9 +155,9 @@ def test_feature_extract_residual_collapse():
 
 def test_upsample_shape_and_zero_input_bias():
     p = _params(6)
-    y = upsample(Tensor(np.zeros((32, 15, 6), np.float32)), p, (128, 28))
-    assert y.shape == (2, 128, 28)
-    want = np.broadcast_to(p["us_deconv_b"].data[:, None, None], (2, 128, 28))
+    y = upsample(Tensor(np.zeros((1, 32, 15, 6), np.float32)), p, (128, 28))
+    assert y.shape == (1, 2, 128, 28)
+    want = np.broadcast_to(p["us_deconv_b"].data[:, None, None], (1, 2, 128, 28))
     assert np.allclose(y.data, want, atol=1e-7)
     yb = upsample(Tensor(np.zeros((3, 32, 15, 6), np.float32)), p, (128, 28))
     assert yb.shape == (3, 2, 128, 28)
@@ -154,11 +166,12 @@ def test_upsample_shape_and_zero_input_bias():
 def test_forward_shape_contract():
     p = _params(8)
     y = forward(_x(np.random.default_rng(5)), p)
-    assert y.shape == (2, 128, 28)
+    assert y.shape == (1, 2, 128, 28)
     yb = forward(_x(np.random.default_rng(6), (4, 2, 15, 6)), p)
     assert yb.shape == (4, 2, 128, 28)
-    with pytest.raises(ValueError):
-        forward(_x(np.random.default_rng(7), (3, 15, 6)), p)
+    for bad in ((1, 3, 15, 6), (2, 15, 6)):  # a third plane; no batch axis
+        with pytest.raises(ValueError):
+            forward(_x(np.random.default_rng(7), bad), p)
 
 
 def test_bypass_attention_ignores_gate_weights():

@@ -36,5 +36,5 @@ def test_artifact_chain_lists_every_artifact_and_reruns_to_the_same_list(tmp_pat
     for kind in _load("artifact_chain").KINDS:
         assert any(p.endswith(kind) for p in paths), kind
     for path in ("train-cl-lam0/checkpoint.dasr", "eval-ls-ad/report.csv", "eval-model-ad/report.csv",
-                 "forgetting/forgetting.csv"):
+                 "eval-noattn-a/report.csv", "forgetting/forgetting.csv"):
         assert path in paths, path
