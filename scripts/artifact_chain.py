@@ -3,7 +3,8 @@
 The chain, through the `chansr` command line at default settings and seeds:
 gen tdl-a (--n-a samples), tdl-d (--n-d) and a 7-sample tdl-a test set at
 5 dB -> train (tdl-a, 2 epochs) -> fisher -> train-cl (tdl-d, 2 epochs) at
-the default lambda and at lambda 0 -> train-multitask (both, 2 epochs) ->
+the default lambda and at lambda 0 -> train-multitask (both, 2 epochs) and
+train on the same two --data sets, which must give the same bytes ->
 eval ls on tdl-a (mc 64) and on both profiles (mc 128), eval model on tdl-a
 (mc 64) and on both profiles (mc 154: 77 per profile, one partial
 evaluation chunk each), eval model-noattn on tdl-a (mc 64) ->
@@ -57,6 +58,7 @@ def run_chain(out: str, n_a: int, n_d: int) -> None:
     run("train-cl", "--data", d, "--checkpoint", ckpt("train"), "--fisher", fisher, "--lambda", "0",
         *train, dest="train-cl-lam0")
     run("train-multitask", "--data", a, "--data", d, *train, dest="multitask")
+    run("train", "--data", a, "--data", d, *train, dest="train-union")
     run("eval", "--scheme", "ls", "--profile", "tdl-a", "--mc", "64", dest="eval-ls-a")
     run("eval", "--scheme", "ls", "--profile", "tdl-a", "tdl-d", "--mc", "128", dest="eval-ls-ad")
     run("eval", "--scheme", "model", "--checkpoint", ckpt("train"), "--profile", "tdl-a", "--mc", "64",

@@ -150,14 +150,12 @@ def _parse_profile_text(text: str, name: str, ds: float, f_d: float) -> TdlProfi
     return TdlProfile(name=name, taps=taps, ds=ds, f_d=f_d)
 
 
-def load_tdl_profile(name_or_path: str, ds: float = 100e-9, f_d: float | None = None,
-                     speed_kmh: float = 50.0, f_c: float = 2e9) -> TdlProfile:
+def load_tdl_profile(name_or_path: str, ds: float = 100e-9,
+                     f_d: float = doppler_from_speed(50.0, 2e9)) -> TdlProfile:
     """Load a built-in profile ('TDL-A', 'TDL-D') or a tap-table file.
 
-    f_d defaults to the Doppler of `speed_kmh` at carrier `f_c`.
+    f_d defaults to the Doppler at 50 km/h on a 2 GHz carrier.
     """
-    if f_d is None:
-        f_d = doppler_from_speed(speed_kmh, f_c)
     key = name_or_path.lower().replace("_", "-")
     if key in _BUILTIN_PROFILES:
         text = resources.files(__package__).joinpath("profiles", _BUILTIN_PROFILES[key]).read_text()

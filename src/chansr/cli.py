@@ -3,7 +3,10 @@
 Subcommands: gen, train, fisher, train-cl, train-multitask, eval,
 report-forgetting. Every command takes --config, --seed and --out; every
 command but gen, which runs no autodiff op, takes --precision {f32,f64}; only
-gen takes --force.
+gen takes --force. train-multitask is another name for train, and train-cl is
+train that requires --checkpoint and --fisher; one body, `cmd_train`, serves
+all three. A repeated --data means the union of the sets, in flag order, on
+every command that takes it.
 
 `main` alone maps a failure to an exit code: 0 success, 1 usage error (bad
 flags or settings, `UsageError`), 2 data error (any `OSError` or `ValueError`
@@ -111,37 +114,33 @@ def build_parser() -> _Parser:
     p.add_argument("--n", required=True, type=int, help="sample count")
     p.add_argument("--split", choices=sorted(_DOMAINS), default="train", help="seed domain")
 
-    p = sub.add_parser("train", help="train from random init on one dataset")
+    p = sub.add_parser("train", aliases=["train-multitask"],
+                       help="train from random init on the shuffled union of datasets")
     _add_global_flags(p)
-    p.add_argument("--data", required=True, help="CHDS training dataset")
+    p.add_argument("--data", required=True, action="append", help="CHDS dataset; repeat for a union")
+    p.set_defaults(checkpoint=None, fisher=None)
     _add_train_overrides(p)
 
     p = sub.add_parser("fisher", help="estimate the Fisher diagonal at a checkpoint")
     _add_global_flags(p)
-    p.add_argument("--data", required=True, help="CHDS dataset of the completed task")
+    p.add_argument("--data", required=True, action="append", help="CHDS dataset of the trained task; repeat for a union")
     p.add_argument("--checkpoint", required=True, help="trained checkpoint (.dasr)")
     p.add_argument("--task-label", default="", help="label stored in the Fisher file")
     p.add_argument("--batch-size", type=int, help="batch size override")
 
     p = sub.add_parser("train-cl", help="sequential training with the anchor penalty")
     _add_global_flags(p)
-    p.add_argument("--data", required=True, help="CHDS dataset of the new task")
+    p.add_argument("--data", required=True, action="append", help="CHDS dataset of the new task; repeat for a union")
     p.add_argument("--checkpoint", required=True, help="checkpoint to continue from")
     p.add_argument("--fisher", required=True, help="Fisher file from the previous task")
     p.add_argument("--lambda", dest="lam", type=float, help="EWC importance override")
-    _add_train_overrides(p)
-
-    p = sub.add_parser("train-multitask", help="train on the shuffled union of datasets")
-    _add_global_flags(p)
-    p.add_argument("--data", required=True, action="append",
-                   help="CHDS dataset (repeat the flag for each task)")
     _add_train_overrides(p)
 
     p = sub.add_parser("eval", help="NMSE sweep over SNR for one scheme")
     _add_global_flags(p)
     p.add_argument("--scheme", required=True, choices=("ls", "model", "model-noattn"))
     p.add_argument("--checkpoint", help="checkpoint for model schemes")
-    p.add_argument("--profile", required=True, nargs="+",
+    p.add_argument("--profile", required=True, nargs="+", action="extend",
                    help="profile name(s); two or more give a mixed test set")
     p.add_argument("--mc", type=int, help="total trial count override")
     p.add_argument("--snr-list", help="comma-separated SNR grid override")
@@ -246,6 +245,12 @@ def _nonempty_dataset(path: str):
     return ds
 
 
+def _load_data(args):
+    """The union of the --data sets, in flag order; a single set as loaded, without a copy."""
+    parts = [_load(_nonempty_dataset, path) for path in args.data]
+    return parts[0] if len(parts) == 1 else concat_datasets(parts)
+
+
 def cmd_gen(args, cfg: RunConfig, argv) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
@@ -260,55 +265,35 @@ def cmd_gen(args, cfg: RunConfig, argv) -> int:
     return 0
 
 
-def _finish_training(args, prefix: str, params, trace, cfg, argv) -> str:
+def cmd_train(args, cfg: RunConfig, argv) -> int:
+    """train, train-multitask and train-cl: one training on the union of the --data sets,
+    from --checkpoint or a fresh init, under the anchor penalty when --fisher is given."""
+    if args.fisher is not None and not os.path.exists(args.fisher):
+        raise ValueError(f"Fisher file not found: {args.fisher}; run the 'fisher' stage on the "
+                         f"previous task's data and checkpoint first")
+    ds = _load_data(args)
+    params = init_params(init_rng(cfg.seed)) if args.checkpoint is None else _load(load_params, args.checkpoint)
+    fd = None if args.fisher is None else _load(load_fisher, args.fisher)
+    trace = train_task(params, ds, cfg, fd)
     # made only once training has succeeded, so a failed run leaves no directory behind
-    run_dir = _run_dir(args, prefix)
+    run_dir = _run_dir(args, args.command)
     save_params(params, os.path.join(run_dir, "checkpoint.dasr"))
     write_loss_csv(os.path.join(run_dir, "loss.csv"), trace)
     _write_provenance(run_dir, cfg, argv)
-    return run_dir
-
-
-def cmd_train(args, cfg: RunConfig, argv) -> int:
-    ds = _load(_nonempty_dataset, args.data)
-    params = init_params(init_rng(cfg.seed))
-    trace = train_task(params, ds, cfg)
-    run_dir = _finish_training(args, "train", params, trace, cfg, argv)
-    print(f"trained {cfg.epochs} epochs on {len(ds)} samples; final loss {trace[-1]['loss']:.6e}; "
+    penalty = "" if fd is None else f" under the anchor penalty (lambda {cfg.lam:g})"
+    print(f"trained {cfg.epochs} epochs on {len(ds)} samples{penalty}; final loss {trace[-1]['loss']:.6e}; "
           f"run dir {run_dir}")
     return 0
 
 
 def cmd_fisher(args, cfg: RunConfig, argv) -> int:
-    ds = _load(_nonempty_dataset, args.data)
+    ds = _load_data(args)
     params = _load(load_params, args.checkpoint)
     fd = estimate_fisher(params, ds, cfg, task=args.task_label)
     run_dir = _run_dir(args, "fisher")
     save_fisher(fd, os.path.join(run_dir, "fisher.fish"))
     _write_provenance(run_dir, cfg, argv)
     print(f"estimated Fisher diagonal over {len(ds)} samples; run dir {run_dir}")
-    return 0
-
-
-def cmd_train_cl(args, cfg: RunConfig, argv) -> int:
-    if not os.path.exists(args.fisher):
-        raise ValueError(f"Fisher file not found: {args.fisher}; run the 'fisher' stage on the "
-                         f"previous task's data and checkpoint first")
-    ds = _load(_nonempty_dataset, args.data)
-    params = _load(load_params, args.checkpoint)
-    fd = _load(load_fisher, args.fisher)
-    trace = train_task(params, ds, cfg, fd)
-    run_dir = _finish_training(args, "train-cl", params, trace, cfg, argv)
-    print(f"sequential training done (lambda {cfg.lam:g}); run dir {run_dir}")
-    return 0
-
-
-def cmd_multitask(args, cfg: RunConfig, argv) -> int:
-    union = concat_datasets([_load(_nonempty_dataset, p) for p in args.data])
-    params = init_params(init_rng(cfg.seed))
-    trace = train_task(params, union, cfg)
-    run_dir = _finish_training(args, "train-multitask", params, trace, cfg, argv)
-    print(f"multi-task training on {len(union)} samples; run dir {run_dir}")
     return 0
 
 
@@ -353,8 +338,8 @@ _COMMANDS = {
     "gen": cmd_gen,
     "train": cmd_train,
     "fisher": cmd_fisher,
-    "train-cl": cmd_train_cl,
-    "train-multitask": cmd_multitask,
+    "train-cl": cmd_train,
+    "train-multitask": cmd_train,
     "eval": cmd_eval,
     "report-forgetting": cmd_report_forgetting,
 }

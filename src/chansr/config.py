@@ -8,11 +8,11 @@ reference experiment (128x28 grid, pilot intervals 9 and 5, 2 GHz carrier,
 `load_tdl_profile` restate some of them as their own defaults, which the
 acceptance tests and direct library calls rely on; no command does, since
 each passes every value from its `RunConfig`, which refuses values no run
-can use. `load_config` resolves all three layers into one `RunConfig` of
-final values, derived ones included, and `echo` writes it back out as INI
-text with round-trip floats, so the `config.ini` in every run directory
-records exactly what the run used and, passed back through `--config`,
-reruns it.
+can use. No derived value is a setting: `ofdm()` and `profile()` compute the
+symbol duration and the Doppler. `load_config` resolves all three layers
+into one `RunConfig`, and `echo` writes it back out as INI text with
+round-trip floats, so the `config.ini` in every run directory records
+exactly what the run used and, passed back through `--config`, reruns it.
 """
 
 import configparser
@@ -30,14 +30,12 @@ class RunConfig:
     n_f: int = 128
     n_t: int = 28
     delta_f: float = 15e3
-    f_c: float = 2e9  # carrier, read only to derive doppler_hz
-    symbol_duration: float | None = None  # None: (1+cp)/delta_f
+    f_c: float = 2e9  # carrier, read only to derive the Doppler
     cp_fraction: float = 0.07
     freq_interval: int = 9
     time_interval: int = 5
     delay_spread: float = 100e-9
     speed_kmh: float = 50.0
-    doppler_hz: float | None = None  # None: derive from speed
     profile_1: str = "tdl-a"
     profile_2: str = "tdl-d"
     batch_size: int = 128
@@ -52,7 +50,14 @@ class RunConfig:
     precision: str = "f32"
 
     def __post_init__(self):
-        # refuse values no run can use before deriving from them
+        # refuse values no run can use; the SNRs below may be inf
+        for name in ("delta_f", "f_c", "cp_fraction", "delay_spread", "speed_kmh", "lr", "lam", "clip_norm"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{_KEYS.get(name, name)} must be finite, got {value}")
+        for name in ("cp_fraction", "delay_spread", "speed_kmh", "lr", "lam"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{_KEYS.get(name, name)} must be >= 0, got {getattr(self, name)}")
         if not (self.delta_f > 0 and self.f_c > 0):
             raise ValueError(f"delta_f and f_c must be > 0, got {self.delta_f} and {self.f_c}")
         if not self.snr_list:
@@ -65,25 +70,20 @@ class RunConfig:
         for name in ("n_f", "n_t", "freq_interval", "time_interval", "mc", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"precision must be f32 or f64, got {self.precision}")
-        if self.symbol_duration is None:
-            self.symbol_duration = (1.0 + self.cp_fraction) / self.delta_f
-        if self.doppler_hz is None:
-            self.doppler_hz = doppler_from_speed(self.speed_kmh, self.f_c)
         if self.clip_norm is not None and self.clip_norm <= 0:
             self.clip_norm = None
 
     def ofdm(self) -> OfdmConfig:
-        return OfdmConfig(n_f=self.n_f, n_t=self.n_t, delta_f=self.delta_f, symbol_duration=self.symbol_duration)
+        return OfdmConfig(n_f=self.n_f, n_t=self.n_t, delta_f=self.delta_f,
+                          symbol_duration=(1.0 + self.cp_fraction) / self.delta_f)
 
     def pattern(self) -> PilotPattern:
         return PilotPattern.from_intervals(self.ofdm(), self.freq_interval, self.time_interval)
 
     def profile(self, name_or_path: str) -> TdlProfile:
-        return load_tdl_profile(name_or_path, ds=self.delay_spread, f_d=self.doppler_hz)
+        return load_tdl_profile(name_or_path, ds=self.delay_spread, f_d=doppler_from_speed(self.speed_kmh, self.f_c))
 
     def echo(self) -> str:
         """The configuration as canonical INI text that `load_config` reads back to an equal one."""
@@ -105,9 +105,9 @@ class RunConfig:
 
 # each RunConfig field under its INI section, in echo order
 _SCHEMA = {
-    "ofdm": ("n_f", "n_t", "delta_f", "f_c", "symbol_duration", "cp_fraction"),
+    "ofdm": ("n_f", "n_t", "delta_f", "f_c", "cp_fraction"),
     "pilot": ("freq_interval", "time_interval"),
-    "channel": ("delay_spread", "speed_kmh", "doppler_hz", "profile_1", "profile_2"),
+    "channel": ("delay_spread", "speed_kmh", "profile_1", "profile_2"),
     "train": ("batch_size", "epochs", "lr", "lam", "clip_norm", "train_snr_db"),
     "eval": ("snr_list", "mc"),
     "run": ("seed", "precision"),

@@ -3,22 +3,21 @@ global-norm gradient clipping over the named parameters."""
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Standard Adam over one parameter tensor (a model's `ModelParams.flat`).
 
-    Update: m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2;
-    p <- p - lr * m_hat / (sqrt(v_hat) + eps) with bias-corrected moments.
+    Update: m <- BETA1*m + (1-BETA1)*g; v <- BETA2*v + (1-BETA2)*g^2;
+    p <- p - lr * m_hat / (sqrt(v_hat) + EPS) with bias-corrected moments.
     The update and the zeroing of the gradient after it are done in place, so
     views into the parameter and its gradient stay views.
     """
 
-    def __init__(self, param, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, param, lr: float = 1e-3):
         self.param = param
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         # moments kept in float64 regardless of parameter dtype
         self.m = np.zeros(param.data.shape, np.float64)
@@ -29,14 +28,14 @@ class Adam:
         if p.grad is None:
             raise ValueError("parameter has no gradient; run backward before step")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         g = p.grad.astype(np.float64, copy=False)
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
+        self.m = BETA1 * self.m + (1.0 - BETA1) * g
+        self.v = BETA2 * self.v + (1.0 - BETA2) * (g * g)
         m_hat = self.m / c1
         v_hat = self.v / c2
-        p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+        p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(p.data.dtype)
         p.grad[...] = 0
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import chansr
 from chansr.cli import main
-from chansr.dataset import CHDS_MAGIC, CHDS_VERSION, load_dataset
+from chansr.dataset import CHDS_MAGIC, CHDS_VERSION, concat_datasets, load_dataset, save_dataset
 from chansr.model import DASR_MAGIC, load_params, read_records, write_records
 from chansr.training import FISH_MAGIC
 
@@ -113,14 +113,28 @@ def test_missing_subcommand_and_unknown_flag(ws, capsys):
 
 def test_bad_config_file(ws, capsys):
     for text, key in (("[ofdm]\nn_f = 27\nmystery = 1\n", "mystery"), ("[ofdm]\ndelta_f = 0\n", "delta_f"),
-                      ("[ofdm]\nf_c = 0\n", "f_c"), ("[train]\nalpha = 1\n", "alpha")):
+                      ("[ofdm]\nf_c = 0\n", "f_c"), ("[train]\nalpha = 1\n", "alpha"),
+                      ("[ofdm]\nsymbol_duration = 7e-05\n", "symbol_duration"),
+                      ("[channel]\ndoppler_hz = 92.6\n", "doppler_hz"),
+                      ("[train]\nlambda = nan\n", "lambda"), ("[train]\nclip_norm = nan\n", "clip_norm"),
+                      ("[train]\nlr = nan\n", "lr"), ("[train]\nlr = inf\n", "lr"),
+                      ("[ofdm]\ndelta_f = inf\n", "delta_f"), ("[channel]\nspeed_kmh = -1\n", "speed_kmh"),
+                      ("[channel]\ndelay_spread = -1e-9\n", "delay_spread"),
+                      ("[ofdm]\ncp_fraction = -0.07\n", "cp_fraction")):
         (ws / "bad.ini").write_text(text)
         rc = _run("gen", "--config", "bad.ini", "--profile", "tdl-a", "--snr", "10",
                   "--n", "2", "--out", "x.chds")
-        assert rc == 1
+        assert rc == 1, text
         err = capsys.readouterr().err
-        assert "usage error" in err and key in err
+        assert "usage error" in err and key in err, text
         assert not (ws / "x.chds").exists()
+    # a NaN lambda once trained naive sequential, since NaN > 0 is false
+    rc = _run("train-cl", "--config", "cfg.ini", "--data", "d.chds", "--checkpoint", "c.dasr", "--fisher", "f.fish",
+              "--lambda", "nan", "--out", "cl")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error: lambda must be finite" in err
+    assert not (ws / "cl").exists()
 
 
 def test_train_run_dir_and_reproducibility(ws):
@@ -240,6 +254,43 @@ def test_full_continual_learning_pipeline(ws):
             assert (ws / out / f).read_bytes() == (ws / f"{out}-rerun" / f).read_bytes(), (out, f)
 
 
+def test_a_repeated_data_flag_means_the_union_on_every_command(ws):
+    _gen(ws, "a.chds", profile="tdl-a")
+    _gen(ws, "d.chds", profile="tdl-d", n=6)
+    both = ("--data", "a.chds", "--data", "d.chds")
+    for command in ("train", "train-multitask"):
+        assert _run(command, *both, "--config", "cfg.ini", "--out", command) == 0
+    for f in ("checkpoint.dasr", "loss.csv", "config.ini"):
+        assert (ws / "train" / f).read_bytes() == (ws / "train-multitask" / f).read_bytes(), f
+    assert _run("train", "--data", "d.chds", "--config", "cfg.ini", "--out", "d-only") == 0
+    assert (ws / "train" / "checkpoint.dasr").read_bytes() != (ws / "d-only" / "checkpoint.dasr").read_bytes()
+
+    save_dataset(concat_datasets([load_dataset(ws / "a.chds"), load_dataset(ws / "d.chds")]), str(ws / "ad.chds"))
+    ckpt = ("--checkpoint", "train/checkpoint.dasr", "--config", "cfg.ini")
+    assert _run("fisher", *both, *ckpt, "--out", "fish-union") == 0
+    assert _run("fisher", "--data", "ad.chds", *ckpt, "--out", "fish-saved") == 0
+    assert (ws / "fish-union" / "fisher.fish").read_bytes() == (ws / "fish-saved" / "fisher.fish").read_bytes()
+
+    cl = ("--checkpoint", "train/checkpoint.dasr", "--fisher", "fish-union/fisher.fish", "--config", "cfg.ini")
+    assert _run("train-cl", *both, *cl, "--out", "cl-union") == 0
+    assert _run("train-cl", "--data", "ad.chds", *cl, "--out", "cl-saved") == 0
+    for f in ("checkpoint.dasr", "loss.csv"):
+        assert (ws / "cl-union" / f).read_bytes() == (ws / "cl-saved" / f).read_bytes(), f
+
+
+def test_training_commands_name_their_default_run_directory(ws):
+    _gen(ws, "a.chds")
+    assert _run("train", "--data", "a.chds", "--config", "cfg.ini", "--epochs", "1", "--out", "tr") == 0
+    assert _run("fisher", "--data", "a.chds", "--checkpoint", "tr/checkpoint.dasr", "--config", "cfg.ini",
+                "--out", "fish") == 0
+    cl = ("--checkpoint", "tr/checkpoint.dasr", "--fisher", "fish/fisher.fish")
+    for command in ("train", "train-multitask", "train-cl"):
+        assert _run(command, "--data", "a.chds", *(cl if command == "train-cl" else ()),
+                    "--config", "cfg.ini", "--epochs", "1") == 0
+    made = sorted(p.name.rsplit("-", 2)[0] for p in (ws / "runs").iterdir())
+    assert made == ["train", "train-cl", "train-multitask"]
+
+
 def test_train_cl_missing_fisher_message(ws, capsys):
     _gen(ws, "d.chds", profile="tdl-d")
     _gen(ws, "a.chds")
@@ -306,6 +357,16 @@ def test_eval_ls_and_model_schemes(ws):
                 "--out", "evn", "--mc", "4", "--snr-list", "10") == 0
 
 
+def test_a_repeated_profile_flag_means_the_same_as_one_flag_with_both(ws):
+    ls = ("eval", "--config", "cfg.ini", "--scheme", "ls", "--mc", "4")
+    assert _run(*ls, "--profile", "tdl-a", "--profile", "tdl-d", "--out", "repeated") == 0
+    assert _run(*ls, "--profile", "tdl-a", "tdl-d", "--out", "listed") == 0
+    report = (ws / "repeated" / "report.csv").read_bytes()
+    assert report == (ws / "listed" / "report.csv").read_bytes()
+    assert _run(*ls, "--profile", "tdl-d", "--out", "d-only") == 0
+    assert report != (ws / "d-only" / "report.csv").read_bytes()
+
+
 def test_eval_model_without_checkpoint_is_usage_error(ws, capsys):
     rc = _run("eval", "--config", "cfg.ini", "--scheme", "model", "--profile", "tdl-a",
               "--out", "ev")
@@ -363,7 +424,7 @@ def test_seed_flag_overrides_config(ws):
                                                 ("channel", "speed_kmh", "none"), ("run", "seed", "none"),
                                                 ("eval", "snr_list", "off")])
 def test_none_outside_the_optional_keys_is_a_usage_error(ws, capsys, section, key, text):
-    # only symbol_duration, doppler_hz and clip_norm may be none/off
+    # only clip_norm may be none/off
     (ws / "none.ini").write_text(f"[{section}]\n{key} = {text}\n")
     rc = _run("gen", "--config", "none.ini", "--profile", "tdl-a", "--snr", "10", "--n", "2", "--out", "x.chds")
     assert rc == 1
@@ -407,16 +468,18 @@ def test_outputs_get_the_umask_mode(ws):
 
 
 def test_config_ini_records_the_flags_and_reruns_the_run(ws):
-    # default geometry: at n = 64 a symbol duration or Doppler echoed short of its bits moves
-    # some samples, so the rerun below compares the whole resolved configuration
+    # default geometry: at n = 64 a symbol duration or Doppler computed from a setting echoed
+    # short of its bits moves some samples, so the rerun below compares the whole resolved configuration
     gen = ("gen", "--profile", "tdl-a", "--snr", "10", "--n", "64")
     assert _run(*gen, "--seed", "3", "--out", "a.chds") == 0
     assert _run("train", "--data", "a.chds", "--seed", "3", "--epochs", "1", "--batch-size", "32",
                 "--lr", "0.01", "--out", "run1") == 0
     echo = (ws / "run1" / "config.ini").read_text()
     for line in ("epochs = 1\n", "batch_size = 32\n", "lr = 0.01\n", "seed = 3\n",
-                 "symbol_duration = 7.133333333333334e-05\n"):
+                 "delta_f = 15000.0\n", "cp_fraction = 0.07\n", "speed_kmh = 50.0\n"):
         assert line in echo, line
+    # the symbol duration and the Doppler are derived, not echoed
+    assert "symbol_duration" not in echo and "doppler_hz" not in echo
     # eval's --mc counts trials over both profiles; the file key counts them per profile
     assert _run("eval", "--config", "cfg.ini", "--scheme", "ls", "--profile", "tdl-a", "tdl-d",
                 "--snr-list", "3,4", "--mc", "4", "--out", "ev") == 0
@@ -434,6 +497,13 @@ def test_config_ini_records_the_flags_and_reruns_the_run(ws):
     assert _run("train", "--config", "run1/config.ini", "--data", "b.chds", "--out", "run2") == 0
     for f in ("checkpoint.dasr", "loss.csv", "config.ini"):
         assert (ws / "run1" / f).read_bytes() == (ws / "run2" / f).read_bytes(), f
+
+    # an edited setting moves what is derived from it
+    for old, new in (("speed_kmh = 50.0", "speed_kmh = 300"), ("cp_fraction = 0.07", "cp_fraction = 0.25")):
+        assert old in echo
+        (ws / "edited.ini").write_text(echo.replace(old, new))
+        assert _run(*gen, "--config", "edited.ini", "--out", "c.chds", "--force") == 0
+        assert (ws / "c.chds").read_bytes() != (ws / "a.chds").read_bytes(), new
 
 
 def test_empty_snr_list_in_a_config_is_a_usage_error(ws, capsys):

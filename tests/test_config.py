@@ -24,10 +24,11 @@ def _write(tmp_path, text: str) -> str:
 def test_bare_config_has_the_reference_values():
     cfg = RunConfig()
     assert (cfg.n_f, cfg.n_t, cfg.batch_size, cfg.mc, cfg.precision) == (128, 28, 128, 500, "f32")
-    assert cfg.symbol_duration == (1.0 + 0.07) / 15e3
-    assert cfg.doppler_hz == doppler_from_speed(50.0, 2e9)
+    assert (cfg.delta_f, cfg.f_c, cfg.cp_fraction, cfg.speed_kmh) == (15e3, 2e9, 0.07, 50.0)
     assert cfg.clip_norm == 10.0
-    assert cfg.ofdm().symbol_duration == cfg.symbol_duration
+    assert len(fields(RunConfig)) == 21
+    assert cfg.ofdm().symbol_duration == (1.0 + 0.07) / 15e3
+    assert cfg.profile("tdl-a").f_d == doppler_from_speed(50.0, 2e9)
     assert load_config() == cfg
 
 
@@ -54,11 +55,9 @@ def test_every_setting_has_exactly_one_ini_section():
 
 def test_echo_of_the_defaults():
     assert RunConfig().echo() == (
-        "[ofdm]\nn_f = 128\nn_t = 28\ndelta_f = 15000.0\nf_c = 2000000000.0\n"
-        "symbol_duration = 7.133333333333334e-05\ncp_fraction = 0.07\n\n"
+        "[ofdm]\nn_f = 128\nn_t = 28\ndelta_f = 15000.0\nf_c = 2000000000.0\ncp_fraction = 0.07\n\n"
         "[pilot]\nfreq_interval = 9\ntime_interval = 5\n\n"
-        "[channel]\ndelay_spread = 1e-07\nspeed_kmh = 50.0\ndoppler_hz = 92.6566931105978\n"
-        "profile_1 = tdl-a\nprofile_2 = tdl-d\n\n"
+        "[channel]\ndelay_spread = 1e-07\nspeed_kmh = 50.0\nprofile_1 = tdl-a\nprofile_2 = tdl-d\n\n"
         "[train]\nbatch_size = 128\nepochs = 30\nlr = 0.001\nlambda = 10000.0\nclip_norm = 10.0\n"
         "train_snr_db = 10.0\n\n"
         "[eval]\nsnr_list = 0.0,3.0,6.0,9.0,12.0,15.0\nmc = 500\n\n"
@@ -66,18 +65,25 @@ def test_echo_of_the_defaults():
 
 
 def test_file_and_flags_overlay_the_defaults_in_order(tmp_path):
-    path = _write(tmp_path, "[train]\nepochs = 5\nlr = 0.01\n[channel]\ndoppler_hz = 7.5\n")
-    cfg = load_config(path, epochs=2, lr=None)
-    assert (cfg.epochs, cfg.lr, cfg.batch_size) == (2, 0.01, 128)
-    assert cfg.doppler_hz == 7.5  # given, so not derived from the speed
-    assert cfg.profile("tdl-a").f_d == 7.5
+    path = _write(tmp_path, "[train]\nepochs = 5\nlr = 0.01\nlambda = 3\n[channel]\nspeed_kmh = 7.5\n")
+    cfg = load_config(path, epochs=2, lr=None, speed_kmh=9.0)
+    assert (cfg.epochs, cfg.lr, cfg.lam, cfg.batch_size) == (2, 0.01, 3.0, 128)
+    assert cfg.speed_kmh == 9.0  # the flag over the file
+    assert cfg.profile("tdl-a").f_d == doppler_from_speed(9.0, 2e9)
 
 
 def test_derived_values_follow_the_file(tmp_path):
-    cfg = load_config(_write(tmp_path, "[ofdm]\ndelta_f = 30e3\nsymbol_duration = none\n"
-                                       "[channel]\nspeed_kmh = 3\ndoppler_hz = off\n"))
-    assert cfg.symbol_duration == (1.0 + 0.07) / 30e3
-    assert cfg.doppler_hz == doppler_from_speed(3.0, 2e9)
+    cfg = load_config(_write(tmp_path, "[ofdm]\ndelta_f = 30e3\ncp_fraction = 0.25\nf_c = 3.5e9\n"
+                                       "[channel]\nspeed_kmh = 300\n"))
+    assert cfg.ofdm().symbol_duration == (1.0 + 0.25) / 30e3
+    assert cfg.profile("tdl-d").f_d == doppler_from_speed(300.0, 3.5e9)
+
+
+@pytest.mark.parametrize("section, key", [("ofdm", "symbol_duration"), ("channel", "doppler_hz")])
+def test_a_derived_value_is_not_a_setting(tmp_path, section, key):
+    # a config.ini echoed before they were derived holds them; deleting the line reruns the run
+    with pytest.raises(ValueError, match=rf"unknown config key \[{section}\] {key}"):
+        load_config(_write(tmp_path, f"[{section}]\n{key} = 1\n"))
 
 
 def test_unknown_key_and_bad_values(tmp_path):

@@ -38,3 +38,7 @@ def test_artifact_chain_lists_every_artifact_and_reruns_to_the_same_list(tmp_pat
     for path in ("train-cl-lam0/checkpoint.dasr", "eval-ls-ad/report.csv", "eval-model-ad/report.csv",
                  "eval-noattn-a/report.csv", "forgetting/forgetting.csv"):
         assert path in paths, path
+    # train with two --data sets is train-multitask
+    digest = {path: line.split("  ", 1)[0] for line, path in zip(first, paths)}
+    for f in ("checkpoint.dasr", "loss.csv", "config.ini"):
+        assert digest[f"train-union/{f}"] == digest[f"multitask/{f}"], f
