@@ -15,7 +15,7 @@ import time
 from dataclasses import replace
 
 from chansr.config import RunConfig
-from chansr.dataset import DOMAIN_TRAIN, DOMAIN_VAL, concat_datasets, generate_dataset
+from chansr.dataset import DOMAIN_TRAIN, DOMAIN_VAL, ChannelDataset, concat_datasets, generate_dataset
 from chansr.evaluate import model_estimator, nmse, to_db
 from chansr.model import init_params, init_rng
 from chansr.training import estimate_fisher, train_task
@@ -48,8 +48,8 @@ def main(argv=None):
         "task1": generate_dataset(prof_a, cfg, pat, args.snr, args.val_n, args.seed, DOMAIN_VAL),
         "task2": generate_dataset(prof_d, cfg, pat, args.snr, args.val_n, args.seed, DOMAIN_VAL),
     }
-    val["mixed"] = concat_datasets([val["task1"].subset(range(half)),
-                                    val["task2"].subset(range(half))])
+    val["mixed"] = concat_datasets([ChannelDataset(v.h_ls[:half], v.h_true[:half])
+                                    for v in (val["task1"], val["task2"])])
     print(f"datasets ready ({time.time() - t0:.0f}s)")
 
     base = init_params(init_rng(args.seed))

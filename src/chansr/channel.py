@@ -104,8 +104,8 @@ class TdlProfile:
     f_d: float  # maximum Doppler in Hz
 
     def __post_init__(self):
-        if self.ds < 0 or self.f_d < 0:
-            raise ValueError("delay spread and Doppler must be nonnegative")
+        if not (0 <= self.ds < np.inf and 0 <= self.f_d < np.inf):
+            raise ValueError(f"delay spread and Doppler must be finite and nonnegative, got {self.ds} and {self.f_d}")
         total = sum(t.power for t in self.taps)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"tap powers must sum to 1, got {total}")

@@ -70,6 +70,11 @@ class RunConfig:
         for name in ("n_f", "n_t", "freq_interval", "time_interval", "mc", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # the largest Clarke phase of a channel draw, 2*pi*f_d at the end of the grid
+        f_d = doppler_from_speed(self.speed_kmh, self.f_c)
+        if not math.isfinite(2.0 * math.pi * f_d * self.n_t * self.ofdm().symbol_duration):
+            raise ValueError(f"speed_kmh = {self.speed_kmh} and f_c = {self.f_c} give a Doppler of {f_d} Hz "
+                             f"whose Clarke phases overflow over {self.n_t} symbols")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"precision must be f32 or f64, got {self.precision}")
         if self.clip_norm is not None and self.clip_norm <= 0:

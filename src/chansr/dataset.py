@@ -15,10 +15,12 @@ way has the same bits.
 
 CHDS file layout (little-endian): magic "CHDS", version u32, then u32 counts
 N_samples, N_f, N_t, N_f_p, N_t_p, then per sample the LS pilot estimate and
-the true grid, each as interleaved real/imag float32 row-major. Loading
-rejects a payload holding a NaN or infinity.
+the true grid, each as interleaved real/imag float32 row-major. Loading reads
+the payload once, into one complex64 array whose two column blocks are the
+dataset's fields, and rejects a payload holding a NaN or infinity.
 """
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -39,7 +41,8 @@ DOMAIN_TEST = 2
 
 @dataclass
 class ChannelDataset:
-    """LS pilot estimates paired with ground-truth grids, both complex64."""
+    """LS pilot estimates paired with ground-truth grids, both complex64. The two may
+    be views of one array (a loaded file's payload), so neither is assumed contiguous."""
 
     h_ls: np.ndarray  # [N, N_f_p, N_t_p]
     h_true: np.ndarray  # [N, N_f, N_t]
@@ -47,14 +50,11 @@ class ChannelDataset:
     def __post_init__(self):
         if self.h_ls.ndim != 3 or self.h_true.ndim != 3 or self.h_ls.shape[0] != self.h_true.shape[0]:
             raise ValueError(f"inconsistent dataset shapes {self.h_ls.shape} / {self.h_true.shape}")
-        self.h_ls = np.ascontiguousarray(self.h_ls, dtype=np.complex64)
-        self.h_true = np.ascontiguousarray(self.h_true, dtype=np.complex64)
+        self.h_ls = np.asarray(self.h_ls, dtype=np.complex64)
+        self.h_true = np.asarray(self.h_true, dtype=np.complex64)
 
     def __len__(self) -> int:
         return self.h_ls.shape[0]
-
-    def subset(self, indices) -> "ChannelDataset":
-        return ChannelDataset(self.h_ls[indices], self.h_true[indices])
 
 
 def concat_datasets(parts) -> ChannelDataset:
@@ -116,7 +116,7 @@ def generate_dataset(profile: TdlProfile, cfg: OfdmConfig, pattern: PilotPattern
 
 def planes_from_complex(x: np.ndarray, dtype=np.float32) -> np.ndarray:
     """[..., a, b] complex -> [..., 2, a, b] real planes (0: real, 1: imag)."""
-    return np.stack([x.real, x.imag], axis=-3).astype(dtype)
+    return np.stack([x.real, x.imag], axis=-3, dtype=dtype)
 
 
 def complex_from_planes(p: np.ndarray) -> np.ndarray:
@@ -140,20 +140,22 @@ def save_dataset(ds: ChannelDataset, path: str) -> None:
 
 def load_dataset(path: str) -> ChannelDataset:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4 + 24 or raw[:4] != CHDS_MAGIC:
-        raise ValueError(f"{path}: not a CHDS dataset file")
-    version, n, n_f, n_t, n_fp, n_tp = struct.unpack_from("<6I", raw, 4)
-    if version != CHDS_VERSION:
-        raise ValueError(f"{path}: unsupported CHDS version {version}")
-    per_sample = (n_fp * n_tp + n_f * n_t) * 8  # complex64 bytes
-    expected = 4 + 24 + n * per_sample
-    if len(raw) != expected:
-        raise ValueError(f"{path}: truncated or oversized payload ({len(raw)} vs {expected} bytes)")
-    k, per = n_fp * n_tp, n_fp * n_tp + n_f * n_t
-    payload = np.frombuffer(raw, dtype=np.complex64, count=n * per, offset=28).reshape(n, per)
+        head = fh.read(28)
+        if len(head) < 28 or head[:4] != CHDS_MAGIC:
+            raise ValueError(f"{path}: not a CHDS dataset file")
+        version, n, n_f, n_t, n_fp, n_tp = struct.unpack_from("<6I", head, 4)
+        if version != CHDS_VERSION:
+            raise ValueError(f"{path}: unsupported CHDS version {version}")
+        k, per = n_fp * n_tp, n_fp * n_tp + n_f * n_t
+        # the header sizes nothing until the file is seen to hold what it claims
+        size, expected = os.fstat(fh.fileno()).st_size, 28 + n * per * 8  # complex64 bytes
+        if size != expected:
+            raise ValueError(f"{path}: truncated or oversized payload ({size} vs {expected} bytes)")
+        payload = np.empty((n, per), np.complex64)
+        if fh.readinto(payload) != payload.nbytes:
+            raise ValueError(f"{path}: truncated payload (the file shrank while being read)")
     if not np.isfinite(payload.view(np.float32)).all():  # each re/im part; faster than complex isfinite
         raise ValueError(f"{path}: payload holds non-finite values")
-    # copies: the slices are views of the read-only file buffer
-    return ChannelDataset(h_ls=payload[:, :k].reshape(n, n_fp, n_tp).copy(),
-                          h_true=payload[:, k:].reshape(n, n_f, n_t).copy())
+    # views, not copies: the two fields share the one payload array
+    return ChannelDataset(h_ls=payload[:, :k].reshape(n, n_fp, n_tp),
+                          h_true=payload[:, k:].reshape(n, n_f, n_t))

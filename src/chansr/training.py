@@ -2,7 +2,9 @@
 
 One loop serves plain training on one task, sequential training on the next
 task with the anchor penalty, and the multi-task bound (plain training on the
-union of the tasks' datasets). Its settings are the run's `RunConfig`.
+union of the tasks' datasets). Its settings are the run's `RunConfig`. Each
+batch's 2-plane input and target are formed from the dataset's complex64
+arrays inside its step, so training and the Fisher pass hold no whole-set copy.
 
 The reconstruction loss is the batch mean of per-sample squared Frobenius
 error between predicted and true 2-plane grids. Sequential training adds the
@@ -26,6 +28,7 @@ record sets must match the model's PARAM_SPECS, finite, with F >= 0.
 import csv
 import io
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,9 +75,12 @@ def _batch_slices(n: int, batch_size: int):
     return [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
 
 
-def _dataset_planes(ds: ChannelDataset):
+def _batch_loss(params: ModelParams, ds: ChannelDataset, idx) -> Tensor:
+    """Reconstruction loss of the samples `idx`, their planes formed from the complex64 arrays here."""
     dt = ad.default_dtype()
-    return planes_from_complex(ds.h_ls, dtype=dt), planes_from_complex(ds.h_true, dtype=dt)
+    x = Tensor(planes_from_complex(ds.h_ls[idx], dtype=dt), dtype=dt)
+    y = Tensor(planes_from_complex(ds.h_true[idx], dtype=dt), dtype=dt)
+    return ad.mse_loss(forward(x, params, ds.h_true.shape[1:]), y)
 
 
 def ewc_loss(params: ModelParams, fisher: FisherDiag, lam: float) -> np.ndarray:
@@ -96,8 +102,6 @@ def train_task(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
     """
     if len(ds) < 1:
         raise ValueError("empty dataset")
-    x_all, y_all = _dataset_planes(ds)
-    target = (y_all.shape[-2], y_all.shape[-1])
     flat = params.flat
     opt = Adam(flat, lr=cfg.lr)
     use_ewc = fisher is not None and cfg.lam > 0
@@ -112,10 +116,7 @@ def train_task(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
         h_sum = ewc_sum = 0.0
         slices = _batch_slices(len(ds), cfg.batch_size)
         for s, e in slices:
-            idx = perm[s:e]
-            x = Tensor(x_all[idx], dtype=x_all.dtype)
-            y = Tensor(y_all[idx], dtype=y_all.dtype)
-            loss_h = ad.mse_loss(forward(x, params, target), y)
+            loss_h = _batch_loss(params, ds, perm[s:e])
             value = loss_h.data
             if use_ewc:
                 penalty = ewc_loss(params, fisher, cfg.lam)
@@ -166,18 +167,7 @@ def estimate_fisher(params: ModelParams, ds: ChannelDataset, cfg: "RunConfig",
     """Empirical Fisher diagonal over the dataset in fixed batch order."""
     if len(ds) < 1:
         raise ValueError("empty dataset")
-    x_all, y_all = _dataset_planes(ds)
-    target = (y_all.shape[-2], y_all.shape[-1])
-
-    def make(s, e):
-        def batch_loss():
-            x = Tensor(x_all[s:e], dtype=x_all.dtype)
-            y = Tensor(y_all[s:e], dtype=y_all.dtype)
-            return ad.mse_loss(forward(x, params, target), y)
-
-        return batch_loss
-
-    losses = [make(s, e) for s, e in _batch_slices(len(ds), cfg.batch_size)]
+    losses = [partial(_batch_loss, params, ds, slice(s, e)) for s, e in _batch_slices(len(ds), cfg.batch_size)]
     diag = fisher_diagonal(params.flat, losses)
     params.flat.zero_grad()
     if not np.all(np.isfinite(diag)):

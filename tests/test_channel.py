@@ -118,6 +118,12 @@ def test_same_seed_bit_identical_different_seed_decorrelated():
     assert abs(rho) < 0.15
 
 
+@pytest.mark.parametrize("ds, f_d", [(np.inf, 0.0), (1e-7, np.inf), (np.nan, 0.0), (1e-7, np.nan), (-1e-9, 0.0)])
+def test_profile_delay_spread_and_doppler_must_be_finite_and_nonnegative(ds, f_d):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        load_tdl_profile("tdl-a", ds=ds, f_d=f_d)
+
+
 def test_nonfinite_phase_rejected():
     prof = TdlProfile(name="x", taps=(_tap(np.inf, 1.0),), ds=1.0, f_d=0.0)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError):

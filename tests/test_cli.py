@@ -137,6 +137,16 @@ def test_bad_config_file(ws, capsys):
     assert not (ws / "cl").exists()
 
 
+def test_a_doppler_whose_phases_overflow_is_a_usage_error_without_warnings(ws, capsys, recwarn):
+    (ws / "fast.ini").write_text("[ofdm]\nf_c = 1e300\n[channel]\nspeed_kmh = 1e10\n")
+    rc = _run("gen", "--config", "fast.ini", "--profile", "tdl-a", "--snr", "10", "--n", "2", "--out", "x.chds")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "speed_kmh" in err and "f_c" in err
+    assert "Warning" not in err and not recwarn.list
+    assert not (ws / "x.chds").exists()
+
+
 def test_train_run_dir_and_reproducibility(ws):
     _gen(ws, "a.chds")
     for out in ("run1", "run2"):

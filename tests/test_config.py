@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from chansr.channel import doppler_from_speed
+from chansr.channel import OfdmConfig, PilotPattern, doppler_from_speed, load_tdl_profile
 from chansr.config import _SCHEMA, RunConfig, load_config
 
 
@@ -152,3 +152,21 @@ def test_f64_trains_unclipped_unless_clip_norm_is_given(tmp_path):
     # the rule is the loader's: a config built directly keeps what it is given
     assert RunConfig(precision="f64").clip_norm == 10.0
 
+
+def test_library_defaults_are_the_reference_geometry():
+    # the acceptance tests build from the library defaults, every command from RunConfig
+    cfg = RunConfig()
+    assert OfdmConfig() == cfg.ofdm()
+    assert PilotPattern.from_intervals(OfdmConfig()) == cfg.pattern()
+    for name in ("tdl-a", "tdl-d"):
+        assert load_tdl_profile(name) == cfg.profile(name)
+
+
+@pytest.mark.parametrize("over", [dict(f_c=1e300, speed_kmh=1e10), dict(f_c=1e300, speed_kmh=1e300),
+                                  dict(f_c=1e300, speed_kmh=1e9, delta_f=1e-300)])
+def test_a_doppler_whose_phases_overflow_is_refused(over, recwarn):
+    with pytest.raises(ValueError, match="speed_kmh = .* and f_c = .* Clarke phases overflow"):
+        RunConfig(**over)
+    assert not recwarn.list
+    # a huge but representable Doppler is a setting like any other
+    assert RunConfig(f_c=1e300, speed_kmh=1e8).profile("tdl-a").f_d < math.inf

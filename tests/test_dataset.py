@@ -1,11 +1,14 @@
 """Dataset generation, CHDS file round trips, plane packing."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from chansr.channel import (OfdmConfig, PilotPattern, generate_channel, load_tdl_profile, ls_estimate,
                             make_pilot_observation)
-from chansr.dataset import (DOMAIN_TEST, DOMAIN_TRAIN, DOMAIN_VAL, ChannelDataset,
+from chansr.dataset import (CHDS_MAGIC, CHDS_VERSION, DOMAIN_TEST, DOMAIN_TRAIN, DOMAIN_VAL, ChannelDataset,
                             complex_from_planes, concat_datasets, draw, generate_dataset,
                             load_dataset, planes_from_complex, sample_rng, save_dataset)
 
@@ -124,6 +127,42 @@ def test_chds_header_and_corruption_errors(tmp_path):
         load_dataset(short)
 
 
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes that tracemalloc saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chds_hostile_header_sizes_no_allocation(tmp_path):
+    # a bare header claiming 2**20 samples of 128x28 (about 30 GB of payload)
+    p = tmp_path / "h.chds"
+    p.write_bytes(CHDS_MAGIC + struct.pack("<6I", CHDS_VERSION, 1 << 20, 128, 28, 15, 6))
+
+    def load():
+        with pytest.raises(ValueError, match="truncated or oversized"):
+            load_dataset(p)
+
+    _, peak = _traced_peak(load)
+    assert peak < 1 << 20
+
+
+def test_chds_load_holds_the_payload_once(tmp_path):
+    cfg = OfdmConfig()  # the reference geometry, 256 samples
+    ds = generate_dataset(load_tdl_profile("tdl-a"), cfg, PilotPattern.from_intervals(cfg), 10.0, 256,
+                          seed=0, domain=DOMAIN_TRAIN)
+    p = tmp_path / "a.chds"
+    save_dataset(ds, p)
+    back, peak = _traced_peak(load_dataset, p)
+    payload = ds.h_ls.nbytes + ds.h_true.nbytes
+    # the file image plus a copy of each field would read 2.0x; one payload array plus the finiteness mask 1.25x
+    assert peak <= 1.5 * payload
+    assert back.h_ls.base is not None and back.h_ls.base is back.h_true.base
+    assert np.array_equal(back.h_ls, ds.h_ls) and np.array_equal(back.h_true, ds.h_true)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_chds_rejects_non_finite_payload(tmp_path, bad):
     ds = _small(n=3)
@@ -137,11 +176,8 @@ def test_chds_rejects_non_finite_payload(tmp_path, bad):
         load_dataset(p)
 
 
-def test_dataset_validation_and_subset():
+def test_dataset_validation():
     ds = _small(n=6)
-    sub = ds.subset(range(2, 5))
-    assert len(sub) == 3
-    assert np.array_equal(sub.h_true, ds.h_true[2:5])
     with pytest.raises(ValueError):
         ChannelDataset(h_ls=ds.h_ls, h_true=ds.h_true[:3])
     with pytest.raises(ValueError):

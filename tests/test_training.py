@@ -1,6 +1,7 @@
 """Training loops, Fisher estimation, anchor penalty, FISH files, loss CSV."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,3 +307,18 @@ def test_each_step_frees_the_previous_graph_before_its_forward(monkeypatch):
         gc.enable()
     assert len(counts) == 3 * 2 + 3 + 3 * 2
     assert counts == [base + 2] * len(counts)
+
+
+def test_training_forms_planes_per_batch():
+    cfg = OfdmConfig()  # the reference geometry, 256 samples
+    ds = generate_dataset(load_tdl_profile("tdl-a"), cfg, PilotPattern.from_intervals(cfg), 10.0, 256,
+                          seed=0, domain=DOMAIN_TRAIN)
+    p = init_params(np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        train_task(p, ds, RunConfig(epochs=1, batch_size=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # whole-set float32 planes alone would be 1.0x the complex64 data, and their astype copy as much again
+    assert peak < ds.h_ls.nbytes + ds.h_true.nbytes
