@@ -244,61 +244,46 @@ def crop2d(x: Tensor, height: int, width: int) -> Tensor:
     return _make(np.ascontiguousarray(x.data[..., :height, :width]), (x,), _bw)
 
 
-def _image(x: Tensor):
+def _pool(x: Tensor, kind: str, spatial: bool) -> Tensor:
+    """Reduce one axis of [.,C,H,W] with keepdims: H·W flattened into one trailing
+    axis when spatial, else the channel axis. kind 'max' or 'avg'."""
     if x.data.ndim not in (3, 4):
         raise ValueError(f"expected 3-D or 4-D tensor, got shape {x.shape}")
-    return x.data
+    xd = x.data
+    src, axis = (xd.reshape(*xd.shape[:-2], -1), -1) if spatial else (xd, -3)
+    if kind == "avg":
+        data = src.mean(axis=axis, keepdims=True)
+
+        def grad(g):
+            return np.broadcast_to(g / xd.dtype.type(src.shape[axis]), src.shape)
+
+    elif kind == "max":
+        idx = src.argmax(axis=axis, keepdims=True)  # first maximum (row-major over H·W)
+        data = np.take_along_axis(src, idx, axis=axis)
+
+        def grad(g):
+            out = np.zeros_like(src)
+            np.put_along_axis(out, idx, g, axis=axis)
+            return out
+
+    else:
+        raise ValueError(f"pool kind must be 'max' or 'avg', got {kind!r}")
+
+    def _bw(gout):
+        if x.requires_grad:
+            _acc(x, grad(gout.reshape(data.shape)).reshape(xd.shape))
+
+    return _make(data.reshape(data.shape[:-1]) if spatial else data, (x,), _bw)
 
 
 def pool_spatial(x: Tensor, kind: str) -> Tensor:
     """Reduce [.,C,H,W] over H and W to [.,C]; kind 'max' or 'avg'."""
-    xd = _image(x)
-    flat = xd.reshape(*xd.shape[:-2], -1)
-    if kind == "avg":
-        data = flat.mean(axis=-1)
-
-        def _bw(gout):
-            if x.requires_grad:
-                _acc(x, np.broadcast_to((gout / xd.dtype.type(flat.shape[-1]))[..., None, None], xd.shape))
-
-    elif kind == "max":
-        idx = flat.argmax(axis=-1)[..., None]  # first maximum in row-major order
-        data = np.take_along_axis(flat, idx, axis=-1)[..., 0]
-
-        def _bw(gout):
-            if x.requires_grad:
-                g = np.zeros_like(flat)
-                np.put_along_axis(g, idx, gout[..., None], axis=-1)
-                _acc(x, g.reshape(xd.shape))
-
-    else:
-        raise ValueError(f"pool kind must be 'max' or 'avg', got {kind!r}")
-    return _make(data, (x,), _bw)
+    return _pool(x, kind, spatial=True)
 
 
 def pool_channel(x: Tensor, kind: str) -> Tensor:
     """Reduce [.,C,H,W] over the channel axis to [.,1,H,W]; kind 'max' or 'avg'."""
-    xd = _image(x)
-    if kind == "avg":
-        data = xd.mean(axis=-3, keepdims=True)
-
-        def _bw(gout):
-            if x.requires_grad:
-                _acc(x, np.broadcast_to(gout / xd.dtype.type(xd.shape[-3]), xd.shape))
-
-    elif kind == "max":
-        idx = xd.argmax(axis=-3, keepdims=True)  # first maximum along channels
-        data = np.take_along_axis(xd, idx, axis=-3)
-
-        def _bw(gout):
-            if x.requires_grad:
-                g = np.zeros_like(xd)
-                np.put_along_axis(g, idx, gout, axis=-3)
-                _acc(x, g)
-
-    else:
-        raise ValueError(f"pool kind must be 'max' or 'avg', got {kind!r}")
-    return _make(data, (x,), _bw)
+    return _pool(x, kind, spatial=False)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

@@ -13,8 +13,9 @@ flags or settings, `UsageError`), 2 data error (any `OSError` or `ValueError`
 a command raises: a missing, corrupt or empty input), 3 numerical failure
 (`FloatingPointError`: a non-finite training loss, Fisher estimate or NMSE).
 Commands call the library directly; `_load` only adds the file's path to the
-message of a load error, and a dataset with no samples is such an error. On
-glibc, `main` first sets the heap thresholds once per process (`_keep_heap`).
+message of a load error. A --data set with no samples, or whose grid or pilot
+sizes differ from the run's settings, is such an error. On glibc, `main`
+first sets the heap thresholds once per process (`_keep_heap`).
 
 Each command resolves its settings once (`config.load_config`): defaults,
 then the --config file, then the flags whose argparse dest is a RunConfig
@@ -237,17 +238,23 @@ def _load(load, path: str):
         raise ValueError(f"cannot load {path}: {e}") from e
 
 
-def _nonempty_dataset(path: str):
-    # refused here, where the path is known, so that no task of a union goes missing unremarked
+def _checked_dataset(cfg: RunConfig, path: str):
+    # refused here, where the path is known, so that no task of a union goes missing
+    # unremarked; the file records pilot counts, not positions, so only sizes are compared
     ds = load_dataset(path)
     if len(ds) == 0:
         raise ValueError("empty dataset")
+    pattern = cfg.pattern()
+    sizes = (ds.h_ls.shape[1:], ds.h_true.shape[1:])
+    want = ((pattern.n_fp, pattern.n_tp), (cfg.n_f, cfg.n_t))
+    if sizes != want:
+        raise ValueError(f"(pilot, full) grid sizes {sizes} differ from the run's settings {want}")
     return ds
 
 
-def _load_data(args):
+def _load_data(args, cfg: RunConfig):
     """The union of the --data sets, in flag order; a single set as loaded, without a copy."""
-    parts = [_load(_nonempty_dataset, path) for path in args.data]
+    parts = [_load(functools.partial(_checked_dataset, cfg), path) for path in args.data]
     return parts[0] if len(parts) == 1 else concat_datasets(parts)
 
 
@@ -271,7 +278,7 @@ def cmd_train(args, cfg: RunConfig, argv) -> int:
     if args.fisher is not None and not os.path.exists(args.fisher):
         raise ValueError(f"Fisher file not found: {args.fisher}; run the 'fisher' stage on the "
                          f"previous task's data and checkpoint first")
-    ds = _load_data(args)
+    ds = _load_data(args, cfg)
     params = init_params(init_rng(cfg.seed)) if args.checkpoint is None else _load(load_params, args.checkpoint)
     fd = None if args.fisher is None else _load(load_fisher, args.fisher)
     trace = train_task(params, ds, cfg, fd)
@@ -287,7 +294,7 @@ def cmd_train(args, cfg: RunConfig, argv) -> int:
 
 
 def cmd_fisher(args, cfg: RunConfig, argv) -> int:
-    ds = _load_data(args)
+    ds = _load_data(args, cfg)
     params = _load(load_params, args.checkpoint)
     fd = estimate_fisher(params, ds, cfg, task=args.task_label)
     run_dir = _run_dir(args, "fisher")

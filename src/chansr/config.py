@@ -55,7 +55,7 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{_KEYS.get(name, name)} must be finite, got {value}")
-        for name in ("cp_fraction", "delay_spread", "speed_kmh", "lr", "lam"):
+        for name in ("cp_fraction", "delay_spread", "speed_kmh", "lr", "lam", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{_KEYS.get(name, name)} must be >= 0, got {getattr(self, name)}")
         if not (self.delta_f > 0 and self.f_c > 0):

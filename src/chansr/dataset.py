@@ -15,11 +15,14 @@ way has the same bits.
 
 CHDS file layout (little-endian): magic "CHDS", version u32, then u32 counts
 N_samples, N_f, N_t, N_f_p, N_t_p, then per sample the LS pilot estimate and
-the true grid, each as interleaved real/imag float32 row-major. Loading reads
-the payload once, into one complex64 array whose two column blocks are the
-dataset's fields, and rejects a payload holding a NaN or infinity.
+the true grid, each as interleaved real/imag float32 row-major. Saving streams
+the header and then each sample's two grids to disk, so it holds no image of
+the file. Loading reads the payload once, into one complex64 array whose two
+column blocks are the dataset's fields, and rejects a payload holding a NaN or
+infinity.
 """
 
+import itertools
 import os
 import struct
 import zlib
@@ -128,14 +131,9 @@ def save_dataset(ds: ChannelDataset, path: str) -> None:
     n, n_fp, n_tp = ds.h_ls.shape
     _, n_f, n_t = ds.h_true.shape
     header = CHDS_MAGIC + struct.pack("<6I", CHDS_VERSION, n, n_f, n_t, n_fp, n_tp)
-    buf = bytearray(len(header) + ds.h_ls.nbytes + ds.h_true.nbytes)
-    buf[:len(header)] = header
-    # filled in place, one row per sample: LS grid then true grid (complex64 = interleaved re/im float32)
-    k = n_fp * n_tp
-    payload = np.frombuffer(buf, dtype=np.complex64, offset=len(header)).reshape(n, k + n_f * n_t)
-    payload[:, :k] = ds.h_ls.reshape(n, k)
-    payload[:, k:] = ds.h_true.reshape(n, n_f * n_t)
-    atomic_write_bytes(path, buf)
+    # streamed one sample at a time: LS grid then true grid (complex64 = interleaved re/im float32)
+    rows = (np.ascontiguousarray(field[i]) for i in range(n) for field in (ds.h_ls, ds.h_true))
+    atomic_write_bytes(path, itertools.chain([header], rows))
 
 
 def load_dataset(path: str) -> ChannelDataset:

@@ -153,6 +153,8 @@ def sweep(estimator, scheme: str, profiles, snr_list, m_c: int, seed: int,
     test seed domain, deterministic under the given seed.
     """
     profiles = list(profiles)
+    if not profiles:
+        raise ValueError("sweep needs at least one profile")
     if m_c < 1 or m_c % len(profiles) != 0:
         raise ValueError(f"M_c = {m_c} must be a positive multiple of the profile count {len(profiles)}")
     draws = [draw(prof, cfg, pattern, m_c // len(profiles), seed, DOMAIN_TEST) for prof in profiles]

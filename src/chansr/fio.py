@@ -3,8 +3,11 @@
 import os
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename over the target.
+def atomic_write_bytes(path: str, pieces) -> None:
+    """Write an iterable of bytes-like pieces, in order, to a temp file in the same
+    directory, then rename it over the target. Pieces are written as they come, so a
+    writer never holds an image of the whole file; if the iterable raises part-way,
+    the temp file is removed and the target keeps its old bytes.
 
     The temp file is opened with mode 0666 less the umask, as a plain open would
     create the target (tempfile.mkstemp would make it 0600).
@@ -15,7 +18,8 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for piece in pieces:
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -24,4 +28,4 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])

@@ -188,8 +188,8 @@ def write_records(path: str, records, magic: bytes, version: int = 1) -> None:
         parts.append(raw)
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+        parts.append(arr)
+    atomic_write_bytes(path, parts)
 
 
 def read_records(path: str, magic: bytes):

@@ -599,6 +599,35 @@ def test_a_zero_sample_dataset_is_a_data_error(ws, capsys, command):
     assert not (ws / "out").exists()
 
 
+@pytest.mark.parametrize("union", [False, True], ids=["one-set", "union"])
+@pytest.mark.parametrize("command", ["train", "fisher"])
+def test_a_data_set_of_other_grid_sizes_is_a_data_error_that_names_it(ws, capsys, command, union):
+    data, ckpt, _ = _trained(ws)  # a.chds: cfg.ini's 27x10 grid
+    (ws / "wide.ini").write_text(_INI.replace("n_f = 27", "n_f = 36"))
+    assert _run("gen", "--config", "wide.ini", "--profile", "tdl-a", "--n", "4", "--out", "wide.chds") == 0
+    sets = ("--data", data, "--data", "wide.chds") if union else ("--data", "wide.chds")
+    extra = ("--checkpoint", ckpt) if command == "fisher" else ()
+    capsys.readouterr()
+    assert _run(command, *sets, *extra, "--config", "cfg.ini", "--out", "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "wide.chds" in err and "Traceback" not in err
+    assert "(36, 10)" in err and "(27, 10)" in err
+    assert not (ws / "out").exists()
+    # the same file runs under the settings it was made with
+    assert _run(command, "--data", "wide.chds", *extra, "--config", "wide.ini", "--out", "ok") == 0
+
+
+@pytest.mark.parametrize("flags", [("--config", "cfg.ini", "--seed", "-1"), ("--config", "neg.ini")],
+                         ids=["flag", "config"])
+@pytest.mark.parametrize("command", [("gen", "--profile", "tdl-a", "--n", "2"),
+                                     ("eval", "--scheme", "ls", "--profile", "tdl-a")], ids=["gen", "eval"])
+def test_a_negative_seed_is_a_usage_error(ws, capsys, command, flags):
+    (ws / "neg.ini").write_text(_INI + "\n[run]\nseed = -1\n")
+    assert _run(*command, *flags, "--out", "out") == 1
+    assert "usage error: seed must be >= 0" in capsys.readouterr().err
+    assert not (ws / "out").exists()
+
+
 def test_report_forgetting_on_a_nan_estimate_is_a_numerical_failure(ws, capsys, monkeypatch):
     _, ckpt, _ = _trained(ws)
 

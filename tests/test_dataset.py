@@ -11,6 +11,7 @@ from chansr.channel import (OfdmConfig, PilotPattern, generate_channel, load_tdl
 from chansr.dataset import (CHDS_MAGIC, CHDS_VERSION, DOMAIN_TEST, DOMAIN_TRAIN, DOMAIN_VAL, ChannelDataset,
                             complex_from_planes, concat_datasets, draw, generate_dataset,
                             load_dataset, planes_from_complex, sample_rng, save_dataset)
+from chansr.fio import atomic_write_bytes
 
 
 def _small(n=4, seed=0, domain=DOMAIN_TRAIN, profile="tdl-a", snr=10.0):
@@ -161,6 +162,37 @@ def test_chds_load_holds_the_payload_once(tmp_path):
     assert peak <= 1.5 * payload
     assert back.h_ls.base is not None and back.h_ls.base is back.h_true.base
     assert np.array_equal(back.h_ls, ds.h_ls) and np.array_equal(back.h_true, ds.h_true)
+
+
+def test_chds_save_streams_without_a_file_image(tmp_path):
+    cfg = OfdmConfig()  # the reference geometry, 256 samples
+    ds = generate_dataset(load_tdl_profile("tdl-a"), cfg, PilotPattern.from_intervals(cfg), 10.0, 256,
+                          seed=0, domain=DOMAIN_TRAIN)
+    payload = ds.h_ls.nbytes + ds.h_true.nbytes
+    fortran = ChannelDataset(np.asfortranarray(ds.h_ls), np.asfortranarray(ds.h_true))
+    images = []
+    for name, d in (("c.chds", ds), ("f.chds", fortran)):
+        _, peak = _traced_peak(save_dataset, d, tmp_path / name)
+        # an image of the file would read 1.0x; streaming holds one sample's rows at a time
+        assert peak <= 0.05 * payload, name
+        images.append((tmp_path / name).read_bytes())
+    assert images[0] == images[1]
+    back = load_dataset(tmp_path / "c.chds")
+    assert np.array_equal(back.h_ls, ds.h_ls) and np.array_equal(back.h_true, ds.h_true)
+
+
+def test_atomic_write_failing_pieces_leave_the_target(tmp_path):
+    target = tmp_path / "a.bin"
+    target.write_bytes(b"old")
+
+    def pieces():
+        yield b"new"
+        raise RuntimeError("generator failed")
+
+    with pytest.raises(RuntimeError, match="generator failed"):
+        atomic_write_bytes(target, pieces())
+    assert target.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

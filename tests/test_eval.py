@@ -143,6 +143,8 @@ def test_sweep_mixed_profiles_and_mc_validation():
         sweep(est, "ls", profs, [10.0], 5, 0, _CFG, _PAT)
     with pytest.raises(ValueError):
         sweep(est, "ls", profs, [10.0], 0, 0, _CFG, _PAT)
+    with pytest.raises(ValueError, match="at least one profile"):
+        sweep(est, "ls", [], [10.0], 6, 0, _CFG, _PAT)
 
 
 def test_mixed_sweep_equals_nmse_on_regenerated_sets():
